@@ -625,14 +625,20 @@ fn halo_exchange<C: Communicator>(
                 )
             })
             .collect();
+        // One tag per (face, payload size): a fine source sends a quarter
+        // face. Cross-node wire tags do not carry the byte count, and the
+        // round-robin polling below completes receives in no fixed order,
+        // so two sizes under one tag could hand a full-face frame to a
+        // quarter-face receive.
+        let tag = |pr: &Pair| pr.face as u32 * 2 + u32::from(pr.src.level > pr.dst.level);
         let mut reqs = Vec::new();
         for (pr, buf) in recv_pairs.iter().zip(recv_bufs.iter_mut()) {
             let src_owner = mesh.owner(pr.src, ranks);
-            reqs.push(comm.irecv(buf, src_owner, pr.face as u32));
+            reqs.push(comm.irecv(buf, src_owner, tag(pr)));
         }
         for (pr, payload) in send_pairs.iter().zip(send_payloads.iter()) {
             let dst_owner = mesh.owner(pr.dst, ranks);
-            reqs.push(comm.isend(payload, dst_owner, pr.face as u32));
+            reqs.push(comm.isend(payload, dst_owner, tag(pr)));
         }
         pure_core::wait_all_poll(reqs);
     }

@@ -32,7 +32,7 @@ use crate::datatype::{as_bytes, as_bytes_mut, PureDatatype, ReduceOp, Reducible}
 use crate::error::{die_invariant, PeerAbortEcho, PureError};
 use crate::runtime::RankLocal;
 use crate::task::scheduler::{NodeScheduler, StealCtx};
-use crate::task::ssw::{ssw_try_until, ssw_try_until_probed, WaitInterrupt};
+use crate::task::ssw::{ssw_try_until, WaitInterrupt};
 
 /// Inter-node algorithm family for the leader phase of one communicator.
 ///
@@ -252,12 +252,15 @@ impl LeaderGroup<'_> {
     }
 
     /// SSW-wait for one frame from `src.node`. Polling `try_recv` also
-    /// drives the transport's progress engine (coalesce flushes, ACKs,
+    /// drives the transport's progress engine (a miss flushes what this
+    /// leader itself has buffered for coalescing, then ticks ACKs and
     /// retransmits), so leader waits survive dropped internode frames with
-    /// no extra code here. When attached to a rank, the wait also installs
-    /// the crash-stop interrupt probe, so a leader blocked on a *dead*
-    /// peer's frame mid-collective unwinds with a structured verdict in
-    /// bounded time — followers are never stranded by a dead leader.
+    /// no extra code here. When attached to a rank, the wait is that rank's
+    /// [`RankLocal::ssw_wait`]: watchdog-visible, progressing its pending
+    /// sends, and carrying the crash-stop interrupt probe, so a leader
+    /// blocked on a *dead* peer's frame mid-collective unwinds with a
+    /// structured verdict in bounded time — followers are never stranded by
+    /// a dead leader.
     fn recv_frame(&self, src: LeaderInfo, tag: WireTag, what: &'static str) -> FrameSlice {
         match self.recv_frame_result(src, tag, what) {
             Ok(payload) => payload,
@@ -274,17 +277,10 @@ impl LeaderGroup<'_> {
         tag: WireTag,
         what: &'static str,
     ) -> Result<FrameSlice, PureError> {
+        let poll = || self.ep.try_recv(src.node, tag);
         let wait = match self.local {
-            Some(l) => ssw_try_until_probed(
-                self.sched,
-                self.steal,
-                self.deadline,
-                || l.wait_probe(Some(src.leader_world)),
-                || self.ep.try_recv(src.node, tag),
-            ),
-            None => ssw_try_until(self.sched, self.steal, self.deadline, || {
-                self.ep.try_recv(src.node, tag)
-            }),
+            Some(l) => l.ssw_wait(what, Some(src.leader_world), self.deadline, poll),
+            None => ssw_try_until(self.sched, self.steal, self.deadline, poll),
         };
         match wait {
             Ok(payload) => Ok(payload),

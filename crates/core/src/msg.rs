@@ -383,10 +383,16 @@ impl Request<'_> {
         }
     }
 
-    /// Non-blocking completion check (like `MPI_Test`).
+    /// Non-blocking completion check (like `MPI_Test`). A fruitless test
+    /// counts as a fruitless poll of a wait the caller is building (see
+    /// [`crate::wait_all_poll`]): what this rank has buffered for cross-node
+    /// coalescing goes out, exactly as in [`Request::wait`].
     pub fn test(&mut self) -> bool {
         if !self.done {
             self.done = self.poll();
+            if !self.done {
+                self.local.ep.flush_sent();
+            }
         }
         self.done
     }

@@ -884,8 +884,18 @@ impl RankLocal {
         None
     }
 
-    /// Common SSW body: health bookkeeping around the interruptible loop.
-    fn ssw_wait<T>(
+    /// Common SSW body of every blocking wait a rank enters (p2p, requests,
+    /// collectives, and the leaders' cross-node waits): health bookkeeping
+    /// around the interruptible loop.
+    ///
+    /// Each fruitless poll first puts this rank's own buffered cross-node
+    /// subframes on the wire, once they have lingered 20 µs
+    /// ([`NodeEndpoint::flush_sent`]): a rank that has started waiting has
+    /// nothing more to add to a coalescing batch, and the message it is
+    /// waiting for is often the reply to one sitting in that batch. This holds whatever the wait polls — an intra-node queue
+    /// after a cross-node `isend` included — and in both progress modes; a
+    /// rank with nothing buffered pays one relaxed load.
+    pub(crate) fn ssw_wait<T>(
         &self,
         op: &'static str,
         peer: Option<usize>,
@@ -906,12 +916,17 @@ impl RankLocal {
             || self.wait_probe(peer),
             || {
                 self.progress_sends();
+                if let Some(v) = poll() {
+                    return Some(v);
+                }
+                self.ep.flush_sent();
                 if self.net_active {
                     // Cooperative progress engine: every blocked rank ticks
-                    // the node endpoint occasionally, so aged coalesce
-                    // buffers flush, reliable retransmits/ACKs fire and the
-                    // failure detector keeps heartbeating even while every
-                    // rank on the node is parked in an intra-node wait.
+                    // the node endpoint occasionally, so a computing
+                    // neighbour's aged coalesce buffers flush, reliable
+                    // retransmits/ACKs fire and the failure detector keeps
+                    // heartbeating even while every rank on the node is
+                    // parked in an intra-node wait.
                     // The gate is adaptive: fruitless ticks widen it (a
                     // real socket must not be hammered from every blocked
                     // wait), productive ones snap it back to the floor.
@@ -926,7 +941,7 @@ impl RankLocal {
                         }
                     }
                 }
-                poll()
+                None
             },
         );
         if robust {
@@ -1423,14 +1438,20 @@ where
         // (e.g. a poll closure stuck inside a lock). Fires well after the
         // per-wait deadline so the wait's own, better-labelled timeout is
         // the one that usually reports.
-        if let Some(deadline) = shared.cfg.progress_deadline {
+        let watchdog = shared.cfg.progress_deadline.map(|deadline| {
             let shared = Arc::clone(&shared);
             let stop = &watchdog_stop;
             scope.spawn(move || {
                 let limit =
                     deadline.as_nanos() as u64 + deadline.as_nanos() as u64 / 2 + 500_000_000;
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(5));
+                loop {
+                    // Scan every 5 ms while ranks run; `launch` unparks this
+                    // thread when they are done, so exit never waits out
+                    // the period.
+                    std::thread::park_timeout(Duration::from_millis(5));
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
                     let now = shared.now_ns();
                     for (r, h) in shared.health.iter().enumerate() {
                         let ws = h.wait_since_ns.load(Ordering::Relaxed);
@@ -1451,8 +1472,8 @@ where
                         return;
                     }
                 }
-            });
-        }
+            })
+        });
 
         // Async progress engine, helper flavour: one spare thread per node
         // owns the node's endpoint and polls it (drains inboxes, flushes
@@ -1498,6 +1519,9 @@ where
             let _ = h.join();
         }
         watchdog_stop.store(true, Ordering::Release);
+        if let Some(w) = &watchdog {
+            w.thread().unpark();
+        }
         progress_stop.store(true, Ordering::Release);
         for s in &shared.scheds {
             s.shutdown_helpers();

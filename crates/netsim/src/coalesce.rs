@@ -5,9 +5,23 @@
 //! (collective phases, envelopes); paying a full per-frame transport cost —
 //! and, in fault mode, a full reliable-sublayer sequence slot — for every
 //! 8-byte payload is where a real progress engine spends its batching
-//! effort (NCCL proxy threads, MPI progress engines). The progress engine
-//! buffers eligible frames per destination node and flushes the buffer as
-//! one jumbo frame when a size, count, or age watermark trips.
+//! effort (NCCL proxy threads, MPI progress engines). The engine buffers
+//! eligible frames per destination node and puts the buffer on the wire as
+//! one jumbo frame on the first of four triggers:
+//!
+//! 1. **count** — [`CoalescePlan::max_frames`] subframes are buffered;
+//! 2. **size** — the jumbo payload reached [`CoalescePlan::max_bytes`];
+//! 3. **the sender blocks** — the rank that buffered the subframes polls
+//!    for something and finds nothing (a `try_recv` miss, a fruitless poll
+//!    of any blocking wait) once the oldest of them has lingered 20 µs:
+//!    it has nothing more to add, so waiting out the age watermark would
+//!    only add latency ([`crate::NodeEndpoint::flush_sent`]);
+//! 4. **age** — the oldest subframe is [`CoalescePlan::flush_ns`] old when
+//!    some progress tick on the node looks. This is only the backstop for a
+//!    rank that computes after a non-blocking send without ever blocking.
+//!
+//! Triggers 1 and 2 keep bursts packed; trigger 3 keeps a lone message from
+//! paying for a batch that is never coming.
 //!
 //! A jumbo frame is a plain concatenation of *subframes*:
 //!
@@ -52,8 +66,13 @@ pub struct CoalescePlan {
     /// Flush once this many subframes are buffered.
     pub max_frames: u32,
     /// Flush a non-empty buffer once its oldest subframe is this old (ns).
-    /// Checked from `progress()` polls, so the bound is approximate — like
-    /// any progress-engine timer.
+    /// A backstop, not the latency bound: a sender that blocks flushes its
+    /// own subframes after a short fixed linger (see the module docs), so
+    /// the timer only ever fires for a rank that keeps computing after a
+    /// non-blocking send.
+    /// Checked when a subframe joins a non-empty buffer and from
+    /// `progress()` polls, so the bound is approximate — like any
+    /// progress-engine timer.
     pub flush_ns: u64,
     /// Only payloads of at most this many bytes are buffered; larger ones
     /// flush the pending buffer and travel as a single-subframe jumbo
@@ -118,12 +137,17 @@ impl CoalesceBuf {
             .map_or(0, |b| b.len().saturating_sub(JUMBO_HEADROOM))
     }
 
-    /// True once any watermark says this buffer must flush.
+    /// True once the count or size watermark says this buffer must flush —
+    /// the half of [`CoalesceBuf::due`] that needs no clock.
+    pub fn full(&self, plan: &CoalescePlan) -> bool {
+        self.frames > 0 && (self.frames >= plan.max_frames || self.payload_len() >= plan.max_bytes)
+    }
+
+    /// True once any watermark (count, size or age) says this buffer must
+    /// flush.
     pub fn due(&self, plan: &CoalescePlan, now_ns: u64) -> bool {
-        self.frames > 0
-            && (self.frames >= plan.max_frames
-                || self.payload_len() >= plan.max_bytes
-                || now_ns.saturating_sub(self.first_ns) >= plan.flush_ns)
+        self.full(plan)
+            || (self.frames > 0 && now_ns.saturating_sub(self.first_ns) >= plan.flush_ns)
     }
 
     /// Take the pending jumbo (headroom included), leaving the buffer empty.

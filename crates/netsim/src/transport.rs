@@ -231,6 +231,15 @@ impl ArrivalSet {
         self.mask == 0 && self.spill.is_empty()
     }
 
+    /// Whether `src` was recorded.
+    pub fn contains(&self, src: usize) -> bool {
+        if src < 64 {
+            self.mask >> src & 1 == 1
+        } else {
+            self.spill.contains(&src)
+        }
+    }
+
     /// Iterate the recorded source nodes (ascending for the first 64).
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let mut m = self.mask;
@@ -486,6 +495,10 @@ struct NodeProto {
     /// Pending outbound coalescing buffers, destination node → buffer
     /// (coalescing mode only).
     co_tx: Mutex<HashMap<usize, CoalesceBuf>>,
+    /// Subframes buffered across `co_tx`, maintained under its lock. Read
+    /// relaxed by the flush paths, so a tick on a node with nothing buffered
+    /// costs one load — no lock, no clock.
+    co_pending: AtomicU64,
     /// Frames the fault injector is holding back (fault mode only).
     perturb: Mutex<Perturb>,
     /// Raw frames this node has put on the wire — the endpoint-fault trip
@@ -495,18 +508,33 @@ struct NodeProto {
     /// node again. Flipped by [`NodeEndpoint::silence`] when the runtime
     /// crash-injects a rank.
     silenced: AtomicBool,
-    /// Failure-detector state per peer node (detection mode only). Leaf
-    /// lock: never held while acquiring any other transport lock.
+    /// Failure-detector state per peer node (detection mode only). Held
+    /// while acquiring nothing but the cluster failure view.
     health: Mutex<HashMap<usize, PeerHealth>>,
 }
 
 impl NodeProto {
-    fn new(pool: Arc<FramePool>) -> Self {
+    /// Protocol state of node `me` in an `n`-node cluster running `cfg`.
+    fn new(pool: Arc<FramePool>, me: usize, n: usize, cfg: &NetConfig) -> Self {
+        // Coalesced traffic over the reliable sublayer arrives on one jumbo
+        // link per peer. Those links exist from the start, so the reliable
+        // tick's walk over known rx links is all the inbound jumbo handling
+        // there is.
+        let mut rel_rx = HashMap::new();
+        if cfg.coalesce.is_some() && cfg.faults.is_some() {
+            let jumbo = WireTag::coalesce().encode();
+            rel_rx.extend(
+                (0..n)
+                    .filter(|&src| src != me)
+                    .map(|src| ((src, jumbo), RxState::default())),
+            );
+        }
         Self {
             pool,
             rel_tx: Mutex::default(),
-            rel_rx: Mutex::default(),
+            rel_rx: Mutex::new(rel_rx),
             co_tx: Mutex::default(),
+            co_pending: AtomicU64::new(0),
             perturb: Mutex::default(),
             sent_frames: AtomicU64::new(0),
             silenced: AtomicBool::new(false),
@@ -558,6 +586,11 @@ pub struct NetStats {
     /// Progress-engine polls (cooperative SSW ticks, helper-thread loops,
     /// and receive-miss polls).
     pub progress_polls: AtomicU64,
+    /// Backend pumps ([`Transport::pump`] calls). A progress tick pumps
+    /// exactly once, so on live nodes this equals `progress_polls`; more
+    /// means a sublayer started pumping on its own again (an inbox lock and
+    /// clock read on Sim, a `read(2)` per peer on TCP, per extra pump).
+    pub pumps: AtomicU64,
     /// Explicit heartbeat frames emitted by the failure detector (idle-link
     /// liveness only — data frames and ACKs piggyback as implicit evidence).
     pub heartbeats: AtomicU64,
@@ -661,7 +694,8 @@ impl Cluster {
         };
         let protos: Vec<Arc<NodeProto>> = pools
             .into_iter()
-            .map(|p| Arc::new(NodeProto::new(p)))
+            .enumerate()
+            .map(|(me, p)| Arc::new(NodeProto::new(p, me, n_nodes, &cfg)))
             .collect();
         Self {
             raws: raws.into(),
@@ -700,6 +734,7 @@ impl Cluster {
             birth: self.birth,
             stats: Arc::clone(&self.stats),
             health: Arc::clone(&self.health),
+            sent: SentMark::default(),
         }
     }
 
@@ -733,8 +768,40 @@ impl Cluster {
     }
 }
 
+/// How old a buffer's oldest subframe must be before its blocked sender
+/// flushes it ([`NodeEndpoint::flush_sent`]), well under the default age
+/// watermark. Ranks of one node tend to block together (a halo exchange, a
+/// leader phase), so the first to block gives its node-mates this long to add
+/// to the batch. It also makes a lone message's latency a clock interval
+/// rather than a spin race, which is what keeps the cross-node ping-pong's
+/// rate steady from run to run (EXPERIMENTS.md, "PR 12"). Not an option.
+const BLOCKED_LINGER_NS: u64 = 20_000;
+
+/// Which destinations hold subframes this handle buffered and has not seen
+/// flushed: bit `dst % 64`. Per handle, not per node — every rank owns its
+/// handle ([`Cluster::endpoint`]), so the mark says what *this rank* still
+/// has sitting in the node's coalescing buffers, and a rank that blocks
+/// flushes exactly that ([`NodeEndpoint::flush_sent`]). Relaxed atomics only
+/// keep the handle `Sync`; one rank reads and writes it.
+#[derive(Default)]
+struct SentMark(AtomicU64);
+
+impl Clone for SentMark {
+    /// A cloned handle has buffered nothing yet.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl SentMark {
+    fn bit(dst: usize) -> u64 {
+        1 << (dst % 64)
+    }
+}
+
 /// One node's handle onto the interconnect. Clone freely; all clones share
-/// the node's backend endpoint and protocol state.
+/// the node's backend endpoint and protocol state (only the
+/// flush-when-blocked mark of what a handle itself buffered is per handle).
 ///
 /// In-process clusters (the simulated fabric, or a TCP loopback mesh) hold
 /// every node's backend + protocol state, which is what lets tests and the
@@ -751,6 +818,7 @@ pub struct NodeEndpoint {
     birth: Instant,
     stats: Arc<NetStats>,
     health: Arc<ClusterHealth>,
+    sent: SentMark,
 }
 
 impl NodeEndpoint {
@@ -769,11 +837,12 @@ impl NodeEndpoint {
             me,
             n,
             raws: vec![raw].into(),
-            protos: vec![Arc::new(NodeProto::new(pool))].into(),
+            protos: vec![Arc::new(NodeProto::new(pool, me, n, &cfg))].into(),
             cfg,
             birth: Instant::now(),
             stats: Arc::new(NetStats::default()),
             health: Arc::new(ClusterHealth::default()),
+            sent: SentMark::default(),
         }
     }
 
@@ -995,49 +1064,40 @@ impl NodeEndpoint {
         for _ in 0..copies {
             self.raw().send_frame(dst_node, enc, payload.clone());
         }
-        self.release_reordered();
+        self.release_reordered(&mut self.proto().perturb.lock());
     }
 
     /// Put stashed (reordered) frames on the wire. Called right after a
     /// direct transmission, so a stashed frame always travels behind at
     /// least one frame that was decided after it.
-    fn release_reordered(&self) -> bool {
-        let stash = {
-            let mut pt = self.proto().perturb.lock();
-            if pt.stash.is_empty() {
-                return false;
-            }
-            std::mem::take(&mut pt.stash)
-        };
-        for f in stash {
+    fn release_reordered(&self, pt: &mut Perturb) -> bool {
+        let work = !pt.stash.is_empty();
+        for f in pt.stash.drain(..) {
             self.raw().send_frame(f.dst, f.tag_enc, f.payload);
         }
-        true
+        work
     }
 
     /// Flush the fault injector's holding areas: overdue delayed frames,
-    /// plus any reorder stash a quiescent sender left stranded.
+    /// plus any reorder stash a quiescent sender left stranded. Frames go to
+    /// the backend under the `perturb` lock (the backend never calls back
+    /// up), so an idle tick costs one lock and a busy one allocates nothing.
     fn flush_perturbed(&self) -> bool {
-        if self.cfg.faults.is_none() || self.self_silent() {
+        if self.self_silent() {
             return false;
         }
-        let mut work = self.release_reordered();
-        let due: Vec<OutFrame> = {
-            let mut pt = self.proto().perturb.lock();
-            if pt.delayed.is_empty() {
-                Vec::new()
-            } else {
-                let now = self.now_ns();
-                let (due, rest) = std::mem::take(&mut pt.delayed)
-                    .into_iter()
-                    .partition(|&(at, _)| at <= now);
-                pt.delayed = rest;
-                due.into_iter().map(|(_, f)| f).collect()
-            }
-        };
-        for f in due {
-            work = true;
-            self.raw().send_frame(f.dst, f.tag_enc, f.payload);
+        let mut pt = self.proto().perturb.lock();
+        let mut work = self.release_reordered(&mut pt);
+        if !pt.delayed.is_empty() {
+            let now = self.now_ns();
+            pt.delayed.retain(|(at, f)| {
+                let due = *at <= now;
+                if due {
+                    work = true;
+                    self.raw().send_frame(f.dst, f.tag_enc, f.payload.clone());
+                }
+                !due
+            });
         }
         work
     }
@@ -1056,19 +1116,11 @@ impl NodeEndpoint {
         if self.self_deaf() {
             return None; // a crashed node receives nothing
         }
-        if self.cfg.coalesce.is_some() && !tag.is_ack() {
-            // Coalescing mode: data frames arrive inside jumbos and are
-            // scattered into the match store by the progress engine, so the
-            // store is the only place to look — even in fault mode, where
-            // the reliable sublayer wraps the jumbo link, not this tag.
-            let enc = tag.encode();
-            if let Some(p) = self.raw().recv_frame(src_node, enc) {
-                return Some(p);
-            }
-            self.progress();
-            return self.raw().recv_frame(src_node, enc);
-        }
-        if self.cfg.faults.is_some() && !tag.is_ack() {
+        // Fault mode without coalescing wraps this very tag in a reliable
+        // link. With coalescing the reliable sublayer wraps the jumbo link
+        // instead, and the progress engine scatters subframes into the
+        // match store — the only place to look.
+        if self.cfg.faults.is_some() && self.cfg.coalesce.is_none() && !tag.is_ack() {
             return self.reliable_try_recv(src_node, tag);
         }
         // Fast path: already matched.
@@ -1076,6 +1128,9 @@ impl NodeEndpoint {
         if let Some(p) = self.raw().recv_frame(src_node, enc) {
             return Some(p);
         }
+        // A miss is a fruitless poll: whatever this rank still has in the
+        // coalescing buffers goes out before it waits any longer.
+        self.flush_sent();
         // Full progress tick, not just a backend pump: a blocked receiver is
         // often the only thread driving this node, and it must keep the
         // failure detector (and heartbeats) running or a dead peer would
@@ -1084,24 +1139,13 @@ impl NodeEndpoint {
         self.raw().recv_frame(src_node, enc)
     }
 
-    /// Raw-plane receive: match-store lookup + backend pump, with no
-    /// reliable bookkeeping and no recursion into
-    /// [`NodeEndpoint::progress`]. Used by the reliable sublayer itself
-    /// (data pump and ACK drain) and the detector's heartbeat drain.
-    fn raw_try_recv(&self, src_node: usize, tag: WireTag) -> Option<FrameSlice> {
-        let enc = tag.encode();
-        if let Some(p) = self.raw().recv_frame(src_node, enc) {
-            return Some(p);
-        }
-        self.pump_raw();
-        self.raw().recv_frame(src_node, enc)
-    }
-
-    /// One backend pump: ingest arrivals (fencing frames from condemned
-    /// peers) and apply the liveness piggyback — any arrival (data, ACK,
+    /// The backend pump of a progress tick — the only place the protocol
+    /// layer pumps: ingest arrivals (fencing frames from condemned peers)
+    /// and apply the liveness piggyback — any arrival (data, ACK,
     /// heartbeat) is evidence its source is alive. Returns whether the
     /// backend moved anything.
     fn pump_raw(&self) -> bool {
+        self.stats.pumps.fetch_add(1, Ordering::Relaxed);
         let detect = self.cfg.detect.is_some();
         let health = &self.health;
         // Epoch fence: frames from a condemned peer are dropped before they
@@ -1126,10 +1170,21 @@ impl NodeEndpoint {
         out.did_work
     }
 
-    /// One progress-engine tick: pump the backend; in coalescing mode flush
-    /// aged outbound buffers and unpack arrived jumbos; in fault mode run
-    /// the reliable sublayer (ACK drain, due retransmits, eager data pump);
-    /// in detection mode run the failure detector.
+    /// One progress-engine tick: pump the backend **once**, then let every
+    /// armed sublayer drain its own frame classes from the match store
+    /// (`recv_frame` only — no sublayer pumps again; a frame that lands
+    /// mid-tick is the next tick's): in coalescing mode flush aged outbound
+    /// buffers and unpack arrived jumbos; in fault mode run the reliable
+    /// sublayer (ACK drain, due retransmits, inbound links); in detection
+    /// mode run the failure detector. The steady-state tick allocates
+    /// nothing, reads the clock once above the backend, and with nothing
+    /// buffered takes neither `co_tx` nor the clock for coalescing.
+    ///
+    /// Locks, in the only order any path nests them: `co_tx` → `rel_tx` |
+    /// `rel_rx` → `perturb` → backend (connection or inbox → match-store
+    /// shard), with the frame pool's free lists, `health` and the cluster
+    /// failure view as leaves (`health` → failure view when a condemnation
+    /// is published).
     ///
     /// Returns whether the tick did any work — frames moved, buffers
     /// flushed, retransmits or ACKs or heartbeats sent. Cooperative-mode
@@ -1150,14 +1205,16 @@ impl NodeEndpoint {
         if self.cfg.coalesce.is_some() {
             work |= self.flush_aged_coalesce();
         }
+        let timed = self.cfg.faults.is_some() || self.cfg.detect.is_some();
+        let now = if timed { self.now_ns() } else { 0 };
         if self.cfg.faults.is_some() {
-            work |= self.reliable_tick();
-        }
-        if self.cfg.coalesce.is_some() {
-            work |= self.pump_coalesced();
+            // Jumbos ride reliable links here; the tick scatters them.
+            work |= self.reliable_tick(now);
+        } else if self.cfg.coalesce.is_some() {
+            work |= self.scatter_arrived_jumbos();
         }
         if self.cfg.detect.is_some() {
-            work |= self.detect_tick();
+            work |= self.detect_tick(now);
         }
         work
     }
@@ -1178,17 +1235,12 @@ impl NodeEndpoint {
         let Some(plan) = self.cfg.coalesce else {
             crate::die_invariant("coalesce_send without a coalescing plan")
         };
-        let now = self.now_ns();
         let proto = self.proto();
         let mut com = proto.co_tx.lock();
         let buf = com.entry(dst_node).or_default();
         let total = head.len() + payload.len();
-        if total > plan.eligible_max {
-            if buf.frames > 0 {
-                if let Some(pending) = buf.take() {
-                    self.emit_jumbo(dst_node, pending);
-                }
-            }
+        let flushed = if total > plan.eligible_max {
+            self.take_and_emit(dst_node, buf);
             // Oversize: a single-subframe jumbo, gathered straight into a
             // pooled buffer (with seq headroom, like any jumbo).
             let mut solo = proto
@@ -1200,18 +1252,46 @@ impl NodeEndpoint {
                 .memcpy_bytes
                 .fetch_add(total as u64, Ordering::Relaxed);
             self.emit_jumbo(dst_node, solo);
+            true
         } else {
-            let copied = buf.push(&proto.pool, tag.encode(), head, payload, now);
+            // The clock is read only where a time is used: to stamp the
+            // subframe that opens an empty buffer, and to age a buffer the
+            // push left below the count and size watermarks.
+            let opens = buf.frames == 0;
+            let stamp = if opens { self.now_ns() } else { buf.first_ns };
+            let copied = buf.push(&proto.pool, tag.encode(), head, payload, stamp);
+            proto.co_pending.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .memcpy_bytes
                 .fetch_add(copied as u64, Ordering::Relaxed);
             self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-            if buf.due(&plan, now) {
-                if let Some(jumbo) = buf.take() {
-                    self.emit_jumbo(dst_node, jumbo);
-                }
+            let due = buf.full(&plan) || buf.due(&plan, if opens { stamp } else { self.now_ns() });
+            if due {
+                self.take_and_emit(dst_node, buf);
             }
+            due
+        };
+        // What this handle still has buffered toward `dst_node`.
+        let bit = SentMark::bit(dst_node);
+        if flushed {
+            self.sent.0.fetch_and(!bit, Ordering::Relaxed);
+        } else {
+            self.sent.0.fetch_or(bit, Ordering::Relaxed);
         }
+    }
+
+    /// Take `buf`'s pending jumbo, if any, and transmit it. The caller holds
+    /// the `co_tx` lock that guards `buf` (see [`NodeEndpoint::emit_jumbo`]).
+    fn take_and_emit(&self, dst_node: usize, buf: &mut CoalesceBuf) -> bool {
+        let frames = buf.frames;
+        let Some(jumbo) = buf.take() else {
+            return false;
+        };
+        self.proto()
+            .co_pending
+            .fetch_sub(frames as u64, Ordering::Relaxed);
+        self.emit_jumbo(dst_node, jumbo);
+        true
     }
 
     /// Transmit one jumbo frame on the per-peer coalesce link (reliable in
@@ -1236,94 +1316,102 @@ impl NodeEndpoint {
         }
     }
 
-    /// Flush outbound buffers whose age watermark has tripped.
+    /// Flush every non-empty outbound buffer `pick` selects. With nothing
+    /// buffered on the node this is one relaxed load.
+    fn flush_bufs(&self, mut pick: impl FnMut(usize, &CoalesceBuf) -> bool) -> bool {
+        let proto = self.proto();
+        if proto.co_pending.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        let mut work = false;
+        let mut com = proto.co_tx.lock();
+        for (&dst, buf) in com.iter_mut() {
+            if buf.frames > 0 && pick(dst, buf) {
+                work |= self.take_and_emit(dst, buf);
+            }
+        }
+        work
+    }
+
+    /// Flush outbound buffers whose age watermark has tripped — the
+    /// progress tick's backstop for subframes whose sender neither filled
+    /// the buffer nor blocked.
     fn flush_aged_coalesce(&self) -> bool {
         let Some(plan) = self.cfg.coalesce else {
             return false;
         };
+        // The clock is read once, and only if some buffer holds a subframe.
+        let mut now = None;
+        self.flush_bufs(|_, buf| buf.due(&plan, *now.get_or_insert_with(|| self.now_ns())))
+    }
+
+    /// Flush the subframes *this handle* buffered and has not seen go out:
+    /// what a rank calls whenever it polls for something and finds nothing,
+    /// because a sender that starts waiting has nothing more to add to the
+    /// batch. [`NodeEndpoint::try_recv`] does it on every miss; blocking
+    /// waits that poll something else (an intra-node queue, a request) call
+    /// it from their fruitless polls.
+    ///
+    /// A marked buffer goes out at the first such call that finds its oldest
+    /// subframe [`BLOCKED_LINGER_NS`] old (or `flush_ns` old, if that is
+    /// less); until then the mark stays and the caller keeps polling.
+    ///
+    /// A handle that has buffered nothing since its last flush pays one
+    /// relaxed load — no lock — and leaves a neighbour rank's half-filled
+    /// buffers toward other nodes alone, so one rank's wait does not cut
+    /// another's burst short. Returns whether a jumbo went out.
+    #[inline]
+    pub fn flush_sent(&self) -> bool {
+        self.sent.0.load(Ordering::Relaxed) != 0 && self.flush_marked()
+    }
+
+    /// The slow half of [`NodeEndpoint::flush_sent`]: something is marked.
+    fn flush_marked(&self) -> bool {
+        let Some(plan) = self.cfg.coalesce else {
+            return false;
+        };
+        let linger = plan.flush_ns.min(BLOCKED_LINGER_NS);
+        let mine = self.sent.0.load(Ordering::Relaxed);
         let now = self.now_ns();
-        let mut work = false;
-        let mut com = self.proto().co_tx.lock();
-        for (&dst, buf) in com.iter_mut() {
-            if buf.due(&plan, now) {
-                if let Some(jumbo) = buf.take() {
-                    self.emit_jumbo(dst, jumbo);
-                    work = true;
-                }
+        // Buffers flushed by someone else drop out of the mark here too.
+        let mut lingering = 0;
+        let work = self.flush_bufs(|dst, buf| {
+            let bit = SentMark::bit(dst);
+            let ripe = now.saturating_sub(buf.first_ns) >= linger;
+            if mine & bit != 0 && !ripe {
+                lingering |= bit;
             }
-        }
+            mine & bit != 0 && ripe
+        });
+        self.sent.0.store(lingering, Ordering::Relaxed);
         work
     }
 
     /// Force-flush every pending outbound buffer on this node, watermarks
     /// or not — the end-of-run path, so no subframe is stranded.
     pub fn flush_coalesced(&self) {
-        if self.cfg.coalesce.is_none() {
-            return;
-        }
-        let mut com = self.proto().co_tx.lock();
-        for (&dst, buf) in com.iter_mut() {
-            if buf.frames > 0 {
-                if let Some(jumbo) = buf.take() {
-                    self.emit_jumbo(dst, jumbo);
-                }
-            }
-        }
+        self.sent.0.store(0, Ordering::Relaxed);
+        self.flush_bufs(|_, _| true);
     }
 
     /// Unpack every arrived jumbo frame and scatter its subframes into the
-    /// match store under their original tags (through the reliable
-    /// sublayer's dedup/reorder first when fault mode is on).
-    fn pump_coalesced(&self) -> bool {
-        let jumbo = WireTag::coalesce();
+    /// match store under their original tags (fault-free coalescing; in
+    /// fault mode jumbos ride reliable links and
+    /// [`NodeEndpoint::reliable_tick`] scatters them in sequence order).
+    ///
+    /// Popping a jumbo and scattering it is one critical section under the
+    /// inbound link-table lock (which the reliable tick holds for the same
+    /// steps): several threads tick one node — its ranks, the helper — and
+    /// if one could pop jumbo *n* and stall while another popped and
+    /// scattered *n + 1*, a tag's subframes would match out of FIFO order.
+    fn scatter_arrived_jumbos(&self) -> bool {
+        let jumbo = WireTag::coalesce().encode();
         let mut work = false;
-        if self.cfg.faults.is_some() {
-            let now = self.now_ns();
-            let mut scatter: Vec<(usize, FrameSlice)> = Vec::new();
-            let mut acks: Vec<(usize, u64)> = Vec::new();
-            {
-                let mut rxm = self.proto().rel_rx.lock();
-                for src in 0..self.n {
-                    if src == self.me {
-                        continue;
-                    }
-                    let st = rxm.entry((src, jumbo.encode())).or_default();
-                    let mut saw_dup = false;
-                    while let Some(f) = self.raw_try_recv(src, jumbo) {
-                        work = true;
-                        let (seq, payload) = deframe(&f);
-                        saw_dup |= !st.accept(seq, payload);
-                    }
-                    while let Some(j) = st.pop_ready() {
-                        scatter.push((src, j));
-                    }
-                    if let Some((ack, newly)) = st.ack_due(now, saw_dup) {
-                        self.stats
-                            .acks_batched
-                            .fetch_add(newly.saturating_sub(1), Ordering::Relaxed);
-                        acks.push((src, ack));
-                    }
-                }
-            }
-            for (src, j) in scatter {
+        let _dispatch = self.proto().rel_rx.lock();
+        for src in (0..self.n).filter(|&src| src != self.me) {
+            while let Some(j) = self.raw().recv_frame(src, jumbo) {
                 work = true;
                 self.scatter_jumbo(src, &j);
-            }
-            for (src, ack) in acks {
-                work = true;
-                self.stats.acks.fetch_add(1, Ordering::Relaxed);
-                let f = self.proto().pool.pooled(&ack.to_le_bytes());
-                self.raw_send(src, WireTag::ack_for(jumbo), f);
-            }
-        } else {
-            for src in 0..self.n {
-                if src == self.me {
-                    continue;
-                }
-                while let Some(j) = self.raw_try_recv(src, jumbo) {
-                    work = true;
-                    self.scatter_jumbo(src, &j);
-                }
             }
         }
         work
@@ -1371,105 +1459,83 @@ impl NodeEndpoint {
         self.raw_send(dst_node, tag, framed);
     }
 
-    /// Reliable-plane receive: tick the sublayer, pump this link's raw
-    /// frames through dedup/reorder, ACK cumulatively (batched: on a count
-    /// or age watermark, or immediately after a dup — a dup usually means
-    /// the previous ACK was lost), return the next in-order payload.
+    /// Reliable-plane receive: the next in-order payload of this link, or
+    /// after a miss one progress tick — whose reliable sublayer moves the
+    /// link's arrived frames through dedup/reorder and ACKs them — and a
+    /// second look.
     fn reliable_try_recv(&self, src_node: usize, tag: WireTag) -> Option<FrameSlice> {
-        self.reliable_tick();
-        if self.cfg.detect.is_some() {
-            self.detect_tick();
-        }
-        let now = self.now_ns();
-        let (out, ack) = {
-            let mut rxm = self.proto().rel_rx.lock();
-            let st = rxm.entry((src_node, tag.encode())).or_default();
-            let mut saw_dup = false;
-            while let Some(f) = self.raw_try_recv(src_node, tag) {
-                let (seq, payload) = deframe(&f);
-                saw_dup |= !st.accept(seq, payload);
-            }
-            (st.pop_ready(), st.ack_due(now, saw_dup))
+        let key = (src_node, tag.encode());
+        // The first receive on a link creates it; from then on every tick
+        // serves it, blocked receiver or not.
+        let pop = || {
+            self.proto()
+                .rel_rx
+                .lock()
+                .entry(key)
+                .or_default()
+                .pop_ready()
         };
-        if let Some((ack, newly)) = ack {
-            self.stats
-                .acks_batched
-                .fetch_add(newly.saturating_sub(1), Ordering::Relaxed);
-            self.stats.acks.fetch_add(1, Ordering::Relaxed);
-            let f = self.proto().pool.pooled(&ack.to_le_bytes());
-            self.raw_send(src_node, WireTag::ack_for(tag), f);
+        if let Some(p) = pop() {
+            return Some(p);
         }
-        out
+        self.progress();
+        pop()
     }
 
     /// One reliable-sublayer tick for this node: flush held fault-injected
     /// frames, drain ACKs into tx links, retransmit overdue frames, and
-    /// eagerly pump + re-ACK every known rx link (so retransmitted frames
-    /// are consumed even when no rank is currently blocked in `try_recv`
-    /// on that tag).
-    fn reliable_tick(&self) -> bool {
+    /// move every known rx link's arrived frames through dedup/reorder and
+    /// ACK them (so retransmitted frames are consumed even when no rank is
+    /// currently blocked in `try_recv` on that tag). Jumbo links have no
+    /// blocked receiver to pop them: their in-order payloads go straight to
+    /// the scatter path.
+    ///
+    /// Frames come from the match store only — the tick's one pump already
+    /// ran — and wire traffic (retransmits, ACKs, scattered subframes)
+    /// leaves from under the link-table lock, which nothing below it takes.
+    fn reliable_tick(&self, now: u64) -> bool {
         let proto = self.proto();
-        let now = self.now_ns();
         let mut work = self.flush_perturbed();
-        let mut retx: Vec<(usize, WireTag, FrameSlice)> = Vec::new();
-        {
-            let mut txm = proto.rel_tx.lock();
-            for (&(dst, enc), st) in txm.iter_mut() {
-                let data_tag = WireTag::decode(enc);
-                let ack_tag = WireTag::ack_for(data_tag);
-                while let Some(a) = self.raw_try_recv(dst, ack_tag) {
-                    work = true;
-                    if let Ok(hdr) = <[u8; 8]>::try_from(&a[..]) {
-                        st.on_ack(u64::from_le_bytes(hdr));
-                    }
-                }
-                if let Some(f) = st.due_retransmit(now) {
-                    self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
-                    retx.push((dst, data_tag, f));
+        for (&(dst, enc), st) in proto.rel_tx.lock().iter_mut() {
+            let data_tag = WireTag::decode(enc);
+            let ack_enc = WireTag::ack_for(data_tag).encode();
+            while let Some(a) = self.raw().recv_frame(dst, ack_enc) {
+                work = true;
+                if let Ok(hdr) = <[u8; 8]>::try_from(&a[..]) {
+                    st.on_ack(u64::from_le_bytes(hdr));
                 }
             }
-        }
-        work |= !retx.is_empty();
-        for (dst, tag, f) in retx {
-            self.raw_send(dst, tag, f);
-        }
-        let mut acks: Vec<(usize, WireTag, u64)> = Vec::new();
-        let mut scatter: Vec<(usize, FrameSlice)> = Vec::new();
-        {
-            let mut rxm = proto.rel_rx.lock();
-            for (&(src, enc), st) in rxm.iter_mut() {
-                let tag = WireTag::decode(enc);
-                let mut saw_dup = false;
-                while let Some(f) = self.raw_try_recv(src, tag) {
-                    work = true;
-                    let (seq, payload) = deframe(&f);
-                    saw_dup |= !st.accept(seq, payload);
-                }
-                // Jumbo links have no blocked receiver to pop them: hand
-                // their in-order payloads straight to the scatter path.
-                if tag.class == CLASS_COALESCE {
-                    while let Some(j) = st.pop_ready() {
-                        scatter.push((src, j));
-                    }
-                }
-                // The ACK decision runs every tick, arrivals or not, so a
-                // batched ACK still flushes on its age watermark.
-                if let Some((ack, newly)) = st.ack_due(now, saw_dup) {
-                    self.stats
-                        .acks_batched
-                        .fetch_add(newly.saturating_sub(1), Ordering::Relaxed);
-                    acks.push((src, WireTag::ack_for(tag), ack));
-                }
+            if let Some(f) = st.due_retransmit(now) {
+                work = true;
+                self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
+                self.raw_send(dst, data_tag, f);
             }
         }
-        work |= !scatter.is_empty() || !acks.is_empty();
-        for (src, j) in scatter {
-            self.scatter_jumbo(src, &j);
-        }
-        for (src, tag, ack) in acks {
-            self.stats.acks.fetch_add(1, Ordering::Relaxed);
-            let f = self.proto().pool.pooled(&ack.to_le_bytes());
-            self.raw_send(src, tag, f);
+        for (&(src, enc), st) in proto.rel_rx.lock().iter_mut() {
+            let tag = WireTag::decode(enc);
+            let mut saw_dup = false;
+            while let Some(f) = self.raw().recv_frame(src, enc) {
+                work = true;
+                let (seq, payload) = deframe(&f);
+                saw_dup |= !st.accept(seq, payload);
+            }
+            if tag.class == CLASS_COALESCE {
+                while let Some(j) = st.pop_ready() {
+                    work = true;
+                    self.scatter_jumbo(src, &j);
+                }
+            }
+            // The ACK decision runs every tick, arrivals or not, so a
+            // batched ACK still flushes on its age watermark.
+            if let Some((ack, newly)) = st.ack_due(now, saw_dup) {
+                work = true;
+                self.stats
+                    .acks_batched
+                    .fetch_add(newly.saturating_sub(1), Ordering::Relaxed);
+                self.stats.acks.fetch_add(1, Ordering::Relaxed);
+                let f = proto.pool.pooled(&ack.to_le_bytes());
+                self.raw_send(src, WireTag::ack_for(tag), f);
+            }
         }
         work
     }
@@ -1480,54 +1546,38 @@ impl NodeEndpoint {
     /// failure view, evaluate the phi-style threshold per peer, emit
     /// heartbeats on idle links, and garbage-collect a newly condemned
     /// peer's link state so nothing retries into the void forever.
-    fn detect_tick(&self) -> bool {
+    fn detect_tick(&self, now: u64) -> bool {
         let Some(plan) = self.cfg.detect else {
             return false;
         };
-        let now = self.now_ns();
         let hb = WireTag::heartbeat();
+        let hb_enc = hb.encode();
         let mut work = false;
-        // Phase 1 — gather heartbeat evidence with no health lock held
-        // (raw_try_recv pumps the backend, which itself takes the health
-        // lock for the liveness piggyback).
-        let mut hb_seen = vec![false; self.n];
-        for (peer, seen) in hb_seen.iter_mut().enumerate() {
-            if peer == self.me {
-                continue;
-            }
-            while self.raw_try_recv(peer, hb).is_some() {
-                *seen = true;
+        // Phase 1 — heartbeat evidence from the match store. Peer sets are
+        // bitmasks ([`ArrivalSet`]): the tick must not allocate.
+        let mut hb_seen = ArrivalSet::default();
+        for peer in (0..self.n).filter(|&p| p != self.me) {
+            while self.raw().recv_frame(peer, hb_enc).is_some() {
+                hb_seen.insert(peer);
                 work = true;
             }
         }
-        // Phase 2 — under the (leaf) health lock: apply evidence, adopt the
+        // Phase 2 — under the health lock: apply evidence, adopt the
         // cluster-global failure view, condemn, and pace heartbeats.
-        let mut newly_dead: Vec<usize> = Vec::new();
-        let mut send_hb: Vec<usize> = Vec::new();
+        let mut newly_dead: Vec<usize> = Vec::new(); // allocates on a death only
+        let mut send_hb = ArrivalSet::default();
         {
-            let adopted: Vec<(usize, u64)> = if self.health.dead_count.load(Ordering::Relaxed) > 0 {
-                self.health
-                    .dead
-                    .lock()
-                    .iter()
-                    .map(|(&k, &v)| (k, v))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let any_dead = self.health.dead_count.load(Ordering::Relaxed) > 0;
             let mut health = self.proto().health.lock();
-            for (peer, &seen) in hb_seen.iter().enumerate() {
-                if peer == self.me {
-                    continue;
-                }
+            for peer in (0..self.n).filter(|&p| p != self.me) {
                 let h = health.entry(peer).or_insert_with(|| PeerHealth::new(now));
-                if seen && h.saw_alive(now) {
+                if hb_seen.contains(peer) && h.saw_alive(now) {
                     self.stats.false_suspects.fetch_add(1, Ordering::Relaxed);
                 }
                 // Adopt a condemnation another node's detector published,
                 // without double-counting the suspicion.
-                if let Some(&(_, epoch)) = adopted.iter().find(|&&(d, _)| d == peer) {
-                    if !h.dead {
+                if any_dead && !h.dead {
+                    if let Some(&epoch) = self.health.dead.lock().get(&peer) {
                         h.dead = true;
                         h.epoch = epoch;
                         newly_dead.push(peer);
@@ -1539,13 +1589,13 @@ impl NodeEndpoint {
                     newly_dead.push(peer);
                 } else if !h.dead && now.saturating_sub(h.last_tx_ns) >= plan.hb_interval_ns {
                     h.last_tx_ns = now;
-                    send_hb.push(peer);
+                    send_hb.insert(peer);
                 }
             }
         }
         // Phase 3 — outside the health lock: wire traffic and link GC.
         work |= !send_hb.is_empty() || !newly_dead.is_empty();
-        for peer in send_hb {
+        for peer in send_hb.iter() {
             self.stats.heartbeats.fetch_add(1, Ordering::Relaxed);
             // Heartbeats are empty: the poolless empty slice costs nothing.
             self.raw_send(peer, hb, FrameSlice::empty());
@@ -1575,7 +1625,11 @@ impl NodeEndpoint {
         let proto = self.proto();
         proto.rel_tx.lock().retain(|&(dst, _), _| dst != peer);
         proto.rel_rx.lock().retain(|&(src, _), _| src != peer);
-        proto.co_tx.lock().remove(&peer);
+        if let Some(buf) = proto.co_tx.lock().remove(&peer) {
+            proto
+                .co_pending
+                .fetch_sub(buf.frames as u64, Ordering::Relaxed);
+        }
         {
             let mut pt = proto.perturb.lock();
             pt.stash.retain(|f| f.dst != peer);
@@ -1731,14 +1785,7 @@ impl NodeEndpoint {
     /// parked inside the transport.
     pub fn coalesce_pending(&self) -> usize {
         self.known()
-            .map(|(_, proto, _)| {
-                proto
-                    .co_tx
-                    .lock()
-                    .values()
-                    .map(|b| b.frames as usize)
-                    .sum::<usize>()
-            })
+            .map(|(_, proto, _)| proto.co_pending.load(Ordering::Relaxed) as usize)
             .sum()
     }
 
@@ -1772,8 +1819,14 @@ impl NodeEndpoint {
     pub fn purge_pooled(&self) {
         for (_, proto, raw) in self.known() {
             proto.rel_tx.lock().clear();
-            proto.rel_rx.lock().clear();
-            proto.co_tx.lock().clear();
+            // Links stay (the jumbo links exist for the cluster's lifetime);
+            // what they hold goes.
+            proto.rel_rx.lock().values_mut().for_each(RxState::purge);
+            {
+                let mut com = proto.co_tx.lock();
+                com.clear();
+                proto.co_pending.store(0, Ordering::Relaxed);
+            }
             {
                 let mut pt = proto.perturb.lock();
                 pt.stash.clear();
@@ -2042,6 +2095,148 @@ mod tests {
                 );
             }
             assert_eq!(b.try_recv(0, tag), None);
+        }
+    }
+
+    /// Flush-when-blocked, with the age watermark out of reach: a handle's
+    /// `try_recv` miss puts what *that handle* buffered on the wire and
+    /// nothing else — a handle that buffered nothing takes no lock and
+    /// leaves its neighbours' half-filled buffers alone.
+    #[test]
+    fn a_miss_flushes_what_the_handle_itself_buffered_and_nothing_else() {
+        let plan = CoalescePlan {
+            flush_ns: u64::MAX,
+            ..CoalescePlan::default()
+        };
+        let c = Cluster::new(3, NetConfig::default().with_coalescing(plan));
+        // Three ranks' handles on node 0.
+        let (mine, neighbour, idle) = (c.endpoint(0), c.endpoint(0), c.endpoint(0));
+        let (n1, n2) = (c.endpoint(1), c.endpoint(2));
+        let tag = WireTag::p2p(0, 0, 1);
+        mine.send(1, tag, b"mine");
+        neighbour.send(2, tag, b"neighbour's");
+        assert_eq!(idle.try_recv(1, tag), None);
+        assert!(!idle.flush_sent());
+        assert_eq!(
+            c.endpoint(0).coalesce_pending(),
+            2,
+            "idle polls flush nothing"
+        );
+        // This rank would block: it keeps missing, and once its subframe
+        // has lingered the next miss flushes it.
+        while c.endpoint(0).coalesce_pending() == 2 {
+            assert_eq!(mine.try_recv(1, tag), None);
+        }
+        assert_eq!(
+            c.endpoint(0).coalesce_pending(),
+            1,
+            "only its own subframe left"
+        );
+        assert_eq!(n1.try_recv(0, tag).as_deref(), Some(&b"mine"[..]));
+        assert_eq!(n2.try_recv(0, tag), None);
+        while !neighbour.flush_sent() {}
+        assert_eq!(n2.try_recv(0, tag).as_deref(), Some(&b"neighbour's"[..]));
+        // A burst that leaves by the count watermark leaves no mark behind.
+        for i in 0..8u8 {
+            mine.send(1, tag, &[i]);
+        }
+        assert!(!mine.flush_sent(), "nothing of this handle's is buffered");
+        let (coalesced, flushes, _, _) = c.stats().coalesce_snapshot();
+        assert_eq!((coalesced, flushes), (10, 3));
+    }
+
+    /// One backend pump per progress tick, whatever is armed and whatever
+    /// the tick finds: no sublayer pumps on its own.
+    #[test]
+    fn a_progress_tick_pumps_the_backend_exactly_once() {
+        let detect = crate::DetectPlan {
+            hb_interval_ns: 20_000,
+            suspect_after_ns: 10_000_000_000,
+            phi: 8,
+        };
+        let c = Cluster::new(
+            2,
+            NetConfig::default()
+                .with_faults(crate::FaultPlan::chaos(5))
+                .with_coalescing(CoalescePlan::default())
+                .with_detection(detect),
+        );
+        let a = c.endpoint(0);
+        let b = c.endpoint(1);
+        let tag = WireTag::p2p(0, 0, 2);
+        let start = Instant::now();
+        for i in 0..200u8 {
+            a.send(1, tag, &[i]);
+            while b.try_recv(0, tag).is_none() {
+                a.progress();
+                assert!(start.elapsed().as_secs() < 10, "stuck at message {i}");
+            }
+        }
+        let polls = c.stats().progress_polls.load(Ordering::Relaxed);
+        assert!(polls >= 200);
+        assert_eq!(c.stats().pumps.load(Ordering::Relaxed), polls);
+    }
+
+    /// Several threads tick one node (its ranks' receive polls, the helper
+    /// thread). Pop-and-scatter of an arrived jumbo is atomic per node, so
+    /// however their ticks interleave — more tickers than cores here, so
+    /// they get preempted mid-tick — each tag's subframes reach the match
+    /// store in send order, with or without the reliable sublayer.
+    #[test]
+    fn concurrent_tickers_keep_per_tag_fifo_when_scattering_jumbos() {
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        for faults in [false, true] {
+            let mut cfg = NetConfig::default().with_coalescing(CoalescePlan {
+                max_frames: 2,
+                ..CoalescePlan::default()
+            });
+            if faults {
+                cfg = cfg.with_faults(crate::FaultPlan::drops(1, 0));
+            }
+            let c = Cluster::new(2, cfg);
+            const N: u32 = 20_000;
+            let tag = WireTag::p2p(0, 0, 1);
+            let stop = AtomicBool::new(false);
+            thread::scope(|s| {
+                // Also on a failed assertion below, or the scope never joins.
+                let _stop = StopOnDrop(&stop);
+                for _ in 0..3 {
+                    let ticker = c.endpoint(1);
+                    let stop = &stop;
+                    s.spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            ticker.progress();
+                        }
+                    });
+                }
+                let a = c.endpoint(0);
+                s.spawn(move || {
+                    for i in 0..N {
+                        a.send(1, tag, &i.to_le_bytes());
+                        a.progress(); // ACKs in, so the retransmit queue drains
+                    }
+                    a.flush_coalesced();
+                });
+                let b = c.endpoint(1);
+                let start = Instant::now();
+                let mut next = 0;
+                while next < N {
+                    match b.try_recv(0, tag) {
+                        Some(p) => {
+                            let got = u32::from_le_bytes((&p[..]).try_into().unwrap());
+                            assert_eq!(got, next, "faults={faults}: subframes reordered");
+                            next += 1;
+                        }
+                        None => thread::yield_now(),
+                    }
+                    assert!(start.elapsed().as_secs() < 30, "stuck at {next}");
+                }
+            });
         }
     }
 
