@@ -90,16 +90,12 @@ fn real_pure(bytes: usize, iters: usize) -> (f64, RuntimeStats) {
     (times[0], report.stats)
 }
 
-/// Cross-node ping-pong over the simulated fabric, with the wire path
-/// either pooled (zero-copy: one gather per message) or the copying-wire
-/// ablation (classic serialize + scatter). Returns ns/message and the
-/// run's total wire memcpy bytes.
-fn real_pure_crossnode(bytes: usize, iters: usize, copy_wire: bool) -> (f64, u64) {
+/// Cross-node ping-pong over the simulated fabric (pooled wire path: one
+/// gather copy per message). Returns ns/message and the run's total wire
+/// memcpy bytes.
+fn real_pure_crossnode(bytes: usize, iters: usize) -> (f64, u64) {
     let mut cfg = Config::new(2).with_ranks_per_node(1);
     cfg.spin_budget = 2;
-    if copy_wire {
-        cfg.net = cfg.net.with_copying_wire();
-    }
     let (report, times) = launch_map(cfg, move |ctx| {
         let w = ctx.world();
         let tx = vec![1u8; bytes];
@@ -216,55 +212,28 @@ fn main() {
     }
 
     header(
-        "Figure 6 (wire) — cross-node ping-pong, pooled vs copying wire",
+        "Figure 6 (wire) — cross-node ping-pong over the pooled wire",
         "one-way ns per message and wire memcpy bytes per message",
     );
     println!(
         "{}",
-        row(
-            "payload",
-            &[
-                "pooled".into(),
-                "copying".into(),
-                "memcpy B/msg (pooled/copying)".into()
-            ]
-        )
+        row("payload", &["ns/msg".into(), "memcpy B/msg".into()])
     );
     for &bytes in trajectory::pick(&[8usize, 8 * 1024][..], &[8usize][..]) {
         let iters = trajectory::pick(500, 50);
         let msgs = (2 * iters) as f64;
-        let (zc_ns, zc_bytes) = real_pure_crossnode(bytes, iters, false);
-        let (cp_ns, cp_bytes) = real_pure_crossnode(bytes, iters, true);
+        let (ns, copied) = real_pure_crossnode(bytes, iters);
         println!(
             "{}",
             row(
                 &fmt_bytes(bytes),
                 &[
-                    format!("{zc_ns:.0} ns"),
-                    format!("{cp_ns:.0} ns"),
-                    format!(
-                        "{:.1} / {:.1}",
-                        zc_bytes as f64 / msgs,
-                        cp_bytes as f64 / msgs
-                    ),
+                    format!("{ns:.0} ns"),
+                    format!("{:.1}", copied as f64 / msgs)
                 ]
             )
         );
-        // Byte tallies are exact, so the reduction is machine-independent;
-        // the eager wire path pays one gather copy where the ablation adds
-        // serialize + scatter passes on top.
-        let reduction = cp_bytes as f64 / zc_bytes.max(1) as f64;
-        assert!(
-            reduction >= 2.0,
-            "pooled wire path must at least halve memcpy bytes at {bytes} B: \
-             {zc_bytes} vs {cp_bytes}"
-        );
-        fig.ratio(&format!("p2p_memcpy_reduction_{bytes}B"), reduction);
-        fig.raw(&format!("pure_crossnode_pingpong_{bytes}B_ns"), zc_ns);
-        fig.raw(
-            &format!("pure_crossnode_pingpong_copywire_{bytes}B_ns"),
-            cp_ns,
-        );
+        fig.raw(&format!("pure_crossnode_pingpong_{bytes}B_ns"), ns);
     }
 
     if std::env::args().any(|a| a == "--trace") {

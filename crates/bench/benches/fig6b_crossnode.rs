@@ -7,14 +7,10 @@
 //!
 //! Part (b) runs the *real* runtime — 4 ranks on 2 simulated nodes — and
 //! streams small cross-node messages over every leg in [`wire_legs`]:
-//! coalescing off, cooperatively coalesced, helper-thread coalesced, and
-//! the copying-wire ablation (classic serialize + per-subframe scatter
-//! copies instead of the pooled zero-copy path). The headline ratio
-//! `wire_frame_reduction_small` is frames(off) / frames(on); the PR's
-//! acceptance floor is 2×, and the count watermark (8 subframes per jumbo)
-//! puts the steady-state figure well above that. The ablation leg yields
-//! `wire_memcpy_reduction_small`: measured memcpy bytes per message on the
-//! copying path over the pooled path.
+//! coalescing off, cooperatively coalesced and helper-thread coalesced.
+//! The headline ratio `wire_frame_reduction_small` is frames(off) /
+//! frames(on); the PR's acceptance floor is 2×, and the count watermark
+//! (8 subframes per jumbo) puts the steady-state figure well above that.
 //!
 //! The ≥2× frame assertion is derived from the leg list itself — every
 //! coalescing leg is enrolled automatically, so adding a new configuration
@@ -101,17 +97,14 @@ fn cfg(coalesce: bool, mode: ProgressMode) -> Config {
     cfg_on(Backend::Sim, coalesce, mode)
 }
 
-/// One leg of the real-runtime sweep. The table rows, the per-leg ≥2×
-/// frame-reduction assertions and the memcpy ablation ratio are all derived
-/// from this list, so a leg added here is automatically measured *and*
-/// gated — there is no separate hardcoded mode list to forget to update.
+/// One leg of the real-runtime sweep. The table rows and the per-leg ≥2×
+/// frame-reduction assertions are derived from this list, so a leg added
+/// here is automatically measured *and* gated — there is no separate
+/// hardcoded mode list to forget to update.
 struct WireLeg {
     name: &'static str,
     coalesce: bool,
     mode: ProgressMode,
-    /// Ablation: reinstate the classic per-frame serialize and per-subframe
-    /// scatter copies, giving the pooled zero-copy path a measured baseline.
-    copy_wire: bool,
 }
 
 fn wire_legs() -> Vec<WireLeg> {
@@ -120,35 +113,18 @@ fn wire_legs() -> Vec<WireLeg> {
             name: "off",
             coalesce: false,
             mode: ProgressMode::Cooperative,
-            copy_wire: false,
         },
         WireLeg {
             name: "cooperative",
             coalesce: true,
             mode: ProgressMode::Cooperative,
-            copy_wire: false,
         },
         WireLeg {
             name: "helper",
             coalesce: true,
             mode: ProgressMode::Helper,
-            copy_wire: false,
-        },
-        WireLeg {
-            name: "copy-wire",
-            coalesce: true,
-            mode: ProgressMode::Cooperative,
-            copy_wire: true,
         },
     ]
-}
-
-fn leg_cfg(backend: Backend, leg: &WireLeg) -> Config {
-    let mut c = cfg_on(backend, leg.coalesce, leg.mode);
-    if leg.copy_wire {
-        c.net = c.net.with_copying_wire();
-    }
-    c
 }
 
 fn main() {
@@ -178,7 +154,7 @@ fn main() {
     let sent = (2 * msgs) as f64;
     let runs: Vec<(RuntimeStats, f64)> = legs
         .iter()
-        .map(|leg| crossnode_stream(leg_cfg(Backend::Sim, leg), msgs))
+        .map(|leg| crossnode_stream(cfg(leg.coalesce, leg.mode), msgs))
         .collect();
     for (leg, (stats, ns)) in legs.iter().zip(&runs) {
         println!(
@@ -201,7 +177,7 @@ fn main() {
     let baseline: Vec<usize> = legs
         .iter()
         .enumerate()
-        .filter(|(_, l)| !l.coalesce && !l.copy_wire)
+        .filter(|(_, l)| !l.coalesce)
         .map(|(i, _)| i)
         .collect();
     assert_eq!(
@@ -242,35 +218,12 @@ fn main() {
     };
     let (coop, coop_ns) = by_name("cooperative");
     let (helper, helper_ns) = by_name("helper");
-    let (copying, _) = by_name("copy-wire");
 
-    // Zero-copy headline: the pooled path pays exactly one gather copy per
-    // message (user buffer → pooled jumbo); the ablation adds the classic
-    // serialize copy on send and the per-subframe scatter copy on receive.
-    // Both legs count actual bytes through the same telemetry, so the ratio
-    // is a measured, machine-independent multiple (~3× for small messages).
-    let memcpy_reduction = copying.net_memcpy_bytes as f64 / coop.net_memcpy_bytes.max(1) as f64;
-    println!(
-        "\nwire memcpy reduction (copy-wire/cooperative): {} \
-         ({:.1} -> {:.1} B/msg)",
-        speedup(memcpy_reduction),
-        copying.net_memcpy_bytes as f64 / sent,
-        coop.net_memcpy_bytes as f64 / sent
-    );
-    assert!(
-        memcpy_reduction >= 2.0,
-        "the pooled wire path must at least halve per-message memcpy bytes: \
-         {} B copying vs {} B pooled",
-        copying.net_memcpy_bytes,
-        coop.net_memcpy_bytes
-    );
+    // Zero-copy: the pooled path pays exactly one gather copy per message
+    // (user buffer → pooled jumbo) and scatters borrowed slices.
     assert!(
         coop.net_frames_borrowed > 0,
         "zero-copy path must hand borrowed slices to the match store"
-    );
-    assert_eq!(
-        copying.net_frames_borrowed, 0,
-        "the copying ablation must not borrow"
     );
 
     // Failure detection armed on the same trajectory: the liveness
@@ -325,25 +278,19 @@ fn main() {
     );
 
     // The frame counts are watermark-driven (count watermark = 8 subframes
-    // per jumbo for back-to-back streams) and the memcpy counts are exact
-    // byte tallies, so the reductions are stable, machine-independent
-    // ratios bench_compare can police.
+    // per jumbo for back-to-back streams), so the reductions are stable,
+    // machine-independent ratios bench_compare can police.
     fig.ratio(
         "wire_frame_reduction_small",
         off.net_frames as f64 / coop.net_frames.max(1) as f64,
     );
     fig.ratio("wire_frame_reduction_small_tcp", tcp_reduction);
-    fig.ratio("wire_memcpy_reduction_small", memcpy_reduction);
     fig.raw("pure_crossnode_off_ns_per_msg", off_ns);
     fig.raw("pure_crossnode_coalesced_ns_per_msg", coop_ns);
     fig.raw("pure_crossnode_helper_ns_per_msg", helper_ns);
     fig.raw(
         "pure_crossnode_memcpy_bytes_per_msg",
         coop.net_memcpy_bytes as f64 / sent,
-    );
-    fig.raw(
-        "pure_crossnode_copywire_memcpy_bytes_per_msg",
-        copying.net_memcpy_bytes as f64 / sent,
     );
     fig.telemetry(
         "frames_per_flush",

@@ -41,6 +41,10 @@
 //! sublayer can patch its sequence number in place instead of re-framing
 //! the jumbo with a copy.
 //!
+//! With a fault plan and no coalescing plan the same buffers run with a
+//! count watermark of one: every message is its own single-subframe jumbo on
+//! the node pair's reliable link, and nothing here counts as coalesced.
+//!
 //! The policy state here is plain data; the [`crate::NodeEndpoint`]
 //! integration (when buffers flush, how jumbos ride the reliable sublayer)
 //! lives in `transport.rs`.
@@ -166,7 +170,7 @@ pub fn pack_subframe_into(out: &mut FrameBuf, tag_enc: u64, head: &[u8], payload
 }
 
 /// Append one subframe (header + payload) to a plain `Vec` — kept for the
-/// copying-path ablation and wire-format tests.
+/// wire-format tests.
 pub fn pack_subframe(out: &mut Vec<u8>, tag_enc: u64, payload: &[u8]) {
     out.reserve(SUBFRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&tag_enc.to_le_bytes());

@@ -26,6 +26,7 @@ pub mod coalesce;
 pub mod faults;
 pub mod pool;
 pub mod reliable;
+mod sim;
 pub mod tag;
 pub mod tcp;
 mod transport;

@@ -1,10 +1,12 @@
 //! Sequence-numbered reliable delivery over the (possibly faulty) raw
 //! transport.
 //!
-//! When a [`crate::FaultPlan`] is configured, every data frame is wrapped
-//! with an 8-byte little-endian sequence number, per *link* — a link being
-//! `(peer node, encoded wire tag)`, i.e. exactly the FIFO unit the raw
-//! transport guarantees ordering for. The receiver acknowledges with
+//! When a [`crate::FaultPlan`] is configured, every data frame — a jumbo
+//! carrying one or more subframes, see [`crate::coalesce`] — is wrapped with
+//! an 8-byte little-endian sequence number, per *link*. There is one link
+//! per ordered node pair: thread ids and user tags ride inside the subframe
+//! headers, as the paper runs one MPI FIFO per node pair with the thread ids
+//! in the tag. The receiver acknowledges with
 //! **cumulative** ACKs (the next sequence it expects, TCP-style — a per-frame
 //! ACK scheme would lose a dropped frame 4 once frame 5 was acknowledged),
 //! deduplicates replays and reorders stashed out-of-order arrivals. The
@@ -19,8 +21,8 @@
 //!
 //! The state machines here are plain data; the [`crate::NodeEndpoint`]
 //! integration (who pumps what and when) lives in `transport.rs`. ACK frames
-//! travel on a mirrored wire tag (class bit [`crate::tag::CLASS_ACK_BIT`],
-//! src/dst thread ids swapped) so they never match application receives.
+//! travel on the link tag's mirror (class bit [`crate::tag::CLASS_ACK_BIT`])
+//! so they never match application receives.
 
 use std::collections::{BTreeMap, VecDeque};
 

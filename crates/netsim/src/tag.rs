@@ -14,8 +14,9 @@ pub const CLASS_P2P: u8 = 0;
 pub const CLASS_COLLECTIVE: u8 = 1;
 /// Runtime-internal bootstrap traffic (rank maps, consensus).
 pub const CLASS_BOOTSTRAP: u8 = 2;
-/// Jumbo frames carrying coalesced subframes between two nodes' progress
-/// engines. One such link exists per ordered node pair, so thread ids and
+/// Jumbo frames carrying subframes between two nodes' progress engines —
+/// every data frame, once a coalescing or fault plan arms the per-peer
+/// links. One such link exists per ordered node pair, so thread ids and
 /// user tag are zero; the original tags ride inside the subframe headers.
 pub const CLASS_COALESCE: u8 = 3;
 /// Failure-detector heartbeats between two nodes' progress engines. Like

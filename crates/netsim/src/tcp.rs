@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::pool::{FramePool, FrameSlice};
-use crate::transport::{MatchStore, NetConfig, NodeEndpoint, PumpOutcome, Transport};
+use crate::sim::MatchStore;
+use crate::transport::{NetConfig, NodeEndpoint, PumpOutcome, Transport};
 
 /// Frame header: `[len: u32][tag: u64]`.
 const HDR: usize = 12;

@@ -5,11 +5,20 @@
 //! transport tests prove over netsim, but with every frame crossing a
 //! real nonblocking 127.0.0.1 socket.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Instant;
 
 use netsim::{Backend, Cluster, CoalescePlan, DetectPlan, FaultPlan, NetConfig, WireTag};
+
+/// Raises a stop flag when dropped — on a failed assertion too.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
 fn tcp_cfg() -> NetConfig {
     NetConfig::default().with_backend(Backend::Tcp)
@@ -161,6 +170,73 @@ fn coalescing_packs_jumbos_over_tcp() {
     assert_eq!(c.stats().frames.load(Ordering::Relaxed), 2);
     let (coalesced, flushes, _, _) = c.stats().coalesce_snapshot();
     assert_eq!((coalesced, flushes), (16, 2));
+}
+
+/// Several ranks and tags share the node pair's one reliable link when only
+/// a fault plan is armed (no coalescing plan): every message is a jumbo of
+/// its own on that link. Two rank threads send on their own tags while two
+/// more tick the receiving node beside its receiver; each tag must arrive
+/// complete and in order over the socket, lossless and under chaos faults,
+/// with the coalescing counters untouched and every slab returned.
+#[test]
+fn ranks_and_tags_share_one_reliable_link_without_coalescing_over_tcp() {
+    for plan in [FaultPlan::drops(5, 0), FaultPlan::chaos(5)] {
+        let c = Cluster::new(2, tcp_cfg().with_faults(plan));
+        const N: u32 = 2000;
+        let stop = AtomicBool::new(false);
+        thread::scope(|s| {
+            // Also on a failed assertion below, or the scope never joins.
+            let _stop = StopOnDrop(&stop);
+            let stop = &stop;
+            for t in 0..2usize {
+                let a = c.endpoint(0);
+                s.spawn(move || {
+                    for i in 0..N {
+                        a.send(1, WireTag::p2p(t, 0, 1), &i.to_le_bytes());
+                        a.progress();
+                    }
+                    // A lossy link needs its sender until the last ACK.
+                    while !stop.load(Ordering::Relaxed) {
+                        a.progress();
+                    }
+                });
+                let ticker = c.endpoint(1);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        ticker.progress();
+                    }
+                });
+            }
+            let b = c.endpoint(1);
+            let start = Instant::now();
+            let mut next = [0u32; 2];
+            while next != [N; 2] {
+                for (t, next) in next.iter_mut().enumerate() {
+                    if let Some(p) = b.try_recv(0, WireTag::p2p(t, 0, 1)) {
+                        let got = u32::from_le_bytes((&p[..]).try_into().unwrap());
+                        assert_eq!(got, *next, "{plan:?}: tag {t} reordered");
+                        *next += 1;
+                    }
+                }
+                assert!(
+                    start.elapsed().as_secs() < 60,
+                    "{plan:?}: stuck at {next:?}"
+                );
+            }
+            while b.reliable_outstanding() > 0 && start.elapsed().as_secs() < 60 {
+                thread::yield_now();
+            }
+        });
+        assert_eq!(
+            c.endpoint(0).reliable_outstanding(),
+            0,
+            "link never drained"
+        );
+        let (coalesced, flushes, _, _) = c.stats().coalesce_snapshot();
+        assert_eq!((coalesced, flushes), (0, 0), "no plan, nothing coalesced");
+        c.purge_pooled();
+        assert_eq!(c.pool_snapshot().outstanding(), 0, "{plan:?}: slabs leaked");
+    }
 }
 
 /// ≥64 KiB chunked streams + small-message floods across a 4-node TCP
