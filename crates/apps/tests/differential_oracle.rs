@@ -4,11 +4,13 @@
 //! baseline. Every rank folds every result it observes into a digest; the
 //! per-rank digest vectors must be **bit-identical** across runtimes.
 //!
-//! Bit-identity discipline: order-sensitive reductions (`Sum`, `Prod`,
-//! `Scan`) use wrapping integer arithmetic only; floats appear where the
-//! result is pure data movement (`bcast`, `gather`, `alltoall`, p2p) or
-//! order-insensitive selection (`Min`/`Max`), matching the cross-runtime
-//! guarantees the mini-apps already rely on.
+//! Bit-identity discipline: order-sensitive reductions (`Sum`, `Prod`) use
+//! wrapping integer arithmetic only; floats appear where the result is pure
+//! data movement (`bcast`, `gather`, `alltoall`, p2p) or order-insensitive
+//! selection (`Min`/`Max`), matching the cross-runtime guarantees the
+//! mini-apps already rely on. `scan` is the exception: both runtimes run the
+//! one `Communicator` default method, which folds in comm-rank order, so an
+//! order-sensitive float scan must match too.
 
 use mpi_baseline::{mpi_launch_map, MpiConfig};
 use pure_core::prelude::*;
@@ -157,6 +159,12 @@ fn run_program<C: Communicator>(c: &C, seed: u64) -> u64 {
                 let mut out = vec![0i64; len];
                 c.scan(&input, &mut out, rop);
                 absorb_i64s(&mut digest, &out);
+                // Float product scan: order-sensitive, so it is bit-identical
+                // only because both runtimes fold in comm-rank order.
+                let input = f64_payload(seed, op, me, len);
+                let mut out = vec![0.0f64; len];
+                c.scan(&input, &mut out, ReduceOp::Prod);
+                absorb_f64s(&mut digest, &out);
             }
             8 => {
                 // Float all-to-all: data movement only.
@@ -296,8 +304,9 @@ fn random_programs_bit_identical_netsim_vs_tcp() {
 /// the trees to matter (1–2 ranks per node, so up to 6 leaders). Tree and
 /// ring schedules *reorder* the inter-node reduction, which is exactly why
 /// the oracle's bit-identity discipline (wrapping integers for
-/// order-sensitive ops, floats only for data movement and Min/Max
-/// selection) must hold: every shape must stay bit-identical to the MPI
+/// order-sensitive reductions, floats only for data movement, Min/Max
+/// selection and the shared scan) must hold: every shape must stay
+/// bit-identical to the MPI
 /// baseline on both the simulated fabric and real TCP sockets.
 #[test]
 fn random_programs_bit_identical_with_hierarchical_collectives() {

@@ -3,6 +3,9 @@
 //! and reduce, recursive-doubling all-reduce, dissemination barrier. Every
 //! hop is a full message through the lock-based channel layer, which is
 //! precisely the cost structure Pure's SPTD collectives eliminate.
+//!
+//! Gather, all-gather, scatter, scan and all-to-all are not here: both
+//! runtimes use the `Communicator` default methods, composed from `bcast`.
 
 use crate::comm::{MpiComm, INTERNAL};
 use pure_core::datatype::{PureDatatype, ReduceOp, Reducible};
@@ -184,114 +187,5 @@ impl MpiComm {
         tag: Tag,
     ) -> crate::comm::MpiRequest<'a> {
         self.irecv_internal(buf, src, tag)
-    }
-}
-
-// ---- The gather family + scan (extensions mirrored from pure-core) ----
-
-impl MpiComm {
-    pub(crate) fn gather_impl<T: PureDatatype>(
-        &self,
-        send: &[T],
-        recv: Option<&mut [T]>,
-        root: usize,
-    ) {
-        self.next_round();
-        let p = self.size();
-        let me = self.rank_i();
-        if me == root {
-            let out = recv.expect("root must supply a receive buffer");
-            assert_eq!(out.len(), send.len() * p, "gather buffer length mismatch");
-            let block = send.len();
-            out[root * block..(root + 1) * block].copy_from_slice(send);
-            for r in 0..p {
-                if r == root {
-                    continue;
-                }
-                self.recv_raw(&mut out[r * block..(r + 1) * block], r, ptag(48));
-            }
-        } else {
-            self.send_raw(send, root, ptag(48));
-        }
-    }
-
-    pub(crate) fn allgather_impl<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
-        // Gather to rank 0, then broadcast — the textbook composition.
-        assert_eq!(
-            recv.len(),
-            send.len() * self.size(),
-            "allgather buffer length mismatch"
-        );
-        if self.rank_i() == 0 {
-            self.gather_impl(send, Some(recv), 0);
-        } else {
-            self.gather_impl::<T>(send, None, 0);
-        }
-        self.bcast_impl(recv, 0);
-    }
-
-    pub(crate) fn scatter_impl<T: PureDatatype>(
-        &self,
-        send: Option<&[T]>,
-        recv: &mut [T],
-        root: usize,
-    ) {
-        self.next_round();
-        let p = self.size();
-        let me = self.rank_i();
-        let block = recv.len();
-        if me == root {
-            let s = send.expect("root must supply the send buffer");
-            assert_eq!(s.len(), block * p, "scatter buffer length mismatch");
-            for r in 0..p {
-                if r == root {
-                    continue;
-                }
-                self.send_raw(&s[r * block..(r + 1) * block], r, ptag(49));
-            }
-            recv.copy_from_slice(&s[root * block..(root + 1) * block]);
-        } else {
-            self.recv_raw(recv, root, ptag(49));
-        }
-    }
-
-    pub(crate) fn alltoall_impl<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
-        let p = self.size();
-        assert_eq!(send.len(), recv.len(), "alltoall buffer length mismatch");
-        assert_eq!(
-            send.len() % p.max(1),
-            0,
-            "alltoall buffer not divisible by size"
-        );
-        let block = send.len() / p;
-        for src in 0..p {
-            let dst = &mut recv[src * block..(src + 1) * block];
-            if self.rank_i() == src {
-                self.scatter_impl(Some(send), dst, src);
-            } else {
-                self.scatter_impl(None, dst, src);
-            }
-        }
-    }
-
-    pub(crate) fn scan_impl<T: Reducible>(&self, input: &[T], output: &mut [T], op: ReduceOp) {
-        // Linear chain: rank r receives the prefix of 0..r-1, folds its own
-        // contribution, forwards to r+1 (O(p) latency, exact semantics).
-        assert_eq!(input.len(), output.len(), "scan buffer length mismatch");
-        self.next_round();
-        let p = self.size();
-        let me = self.rank_i();
-        output.copy_from_slice(input);
-        if me > 0 {
-            let mut prev = vec![T::identity(op); input.len()];
-            self.recv_raw(&mut prev, me - 1, ptag(51));
-            // output = prev op input.
-            let mut acc = prev;
-            T::reduce_assign(op, &mut acc, input);
-            output.copy_from_slice(&acc);
-        }
-        if me + 1 < p {
-            self.send_raw(output, me + 1, ptag(51));
-        }
     }
 }

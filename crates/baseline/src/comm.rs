@@ -495,31 +495,6 @@ impl Communicator for MpiComm {
         self.bcast_impl(data, root);
     }
 
-    fn gather<T: PureDatatype>(&self, send: &[T], recv: Option<&mut [T]>, root: usize) {
-        self.gather_impl(send, recv, root);
-    }
-
-    fn allgather<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
-        self.allgather_impl(send, recv);
-    }
-
-    fn scatter<T: PureDatatype>(&self, send: Option<&[T]>, recv: &mut [T], root: usize) {
-        self.scatter_impl(send, recv, root);
-    }
-
-    fn scan<T: pure_core::Reducible>(
-        &self,
-        input: &[T],
-        output: &mut [T],
-        op: pure_core::ReduceOp,
-    ) {
-        self.scan_impl(input, output, op);
-    }
-
-    fn alltoall<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
-        self.alltoall_impl(send, recv);
-    }
-
     fn split(&self, color: i64, key: i64) -> Option<Self> {
         let epoch = self.splits.get();
         self.splits.set(epoch + 1);

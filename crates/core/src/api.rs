@@ -86,16 +86,90 @@ pub trait Communicator: Sized {
         out[0]
     }
 
-    /// Gather equal blocks to `root` (rank i's block at `recv[i*len..]`).
-    fn gather<T: PureDatatype>(&self, send: &[T], recv: Option<&mut [T]>, root: usize);
-    /// All-gather equal blocks in comm-rank order.
-    fn allgather<T: PureDatatype>(&self, send: &[T], recv: &mut [T]);
-    /// Scatter equal blocks from `root` (rank i gets `send[i*len..]`).
-    fn scatter<T: PureDatatype>(&self, send: Option<&[T]>, recv: &mut [T], root: usize);
-    /// Inclusive prefix reduction.
-    fn scan<T: Reducible>(&self, input: &[T], output: &mut [T], op: ReduceOp);
-    /// All-to-all equal blocks (rank i's block j goes to rank j's slot i).
-    fn alltoall<T: PureDatatype>(&self, send: &[T], recv: &mut [T]);
+    // The five collectives below go beyond the paper's four. Both runtimes
+    // share these bodies, composed from `bcast` alone, so their results are
+    // bit-identical across runtimes (float scans included).
+
+    /// Gather equal blocks to `root` (rank i's block at `recv[i*len..]`;
+    /// `recv` is only used on the root): an all-gather that only the root
+    /// keeps.
+    fn gather<T: PureDatatype>(&self, send: &[T], recv: Option<&mut [T]>, root: usize) {
+        assert!(root < self.size(), "gather root out of range");
+        match recv {
+            Some(out) if self.rank() == root => self.allgather(send, out),
+            _ => {
+                assert_ne!(self.rank(), root, "root must supply a receive buffer");
+                // Placeholder contents; the all-gather overwrites every block.
+                self.allgather(send, &mut send.repeat(self.size()));
+            }
+        }
+    }
+
+    /// All-gather equal blocks in comm-rank order: one broadcast per block,
+    /// rooted at the block's owner.
+    fn allgather<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
+        let len = send.len();
+        assert_eq!(
+            recv.len(),
+            len * self.size(),
+            "allgather buffer length mismatch"
+        );
+        for owner in 0..self.size() {
+            let block = &mut recv[owner * len..(owner + 1) * len];
+            if owner == self.rank() {
+                block.copy_from_slice(send);
+            }
+            self.bcast(block, owner);
+        }
+    }
+
+    /// Scatter equal blocks from `root` (rank i gets `send[i*len..]`; `send`
+    /// is only used on the root): one broadcast of the whole array, from
+    /// which each rank copies its own block.
+    fn scatter<T: PureDatatype>(&self, send: Option<&[T]>, recv: &mut [T], root: usize) {
+        assert!(root < self.size(), "scatter root out of range");
+        let len = recv.len();
+        let mut all = match send {
+            Some(s) if self.rank() == root => {
+                assert_eq!(s.len(), len * self.size(), "scatter buffer length mismatch");
+                s.to_vec()
+            }
+            _ => {
+                assert_ne!(self.rank(), root, "root must supply the send buffer");
+                // Placeholder contents; the broadcast overwrites them.
+                recv.repeat(self.size())
+            }
+        };
+        self.bcast(&mut all, root);
+        let me = self.rank();
+        recv.copy_from_slice(&all[me * len..(me + 1) * len]);
+    }
+
+    /// Inclusive prefix reduction: an all-gather of the inputs, then a fold
+    /// of blocks `0..=rank` in comm-rank order.
+    fn scan<T: Reducible>(&self, input: &[T], output: &mut [T], op: ReduceOp) {
+        assert_eq!(input.len(), output.len(), "scan buffer length mismatch");
+        let len = input.len();
+        let mut all = vec![T::identity(op); len * self.size()];
+        self.allgather(input, &mut all);
+        output.copy_from_slice(&all[..len]);
+        for r in 1..=self.rank() {
+            T::reduce_assign(op, output, &all[r * len..(r + 1) * len]);
+        }
+    }
+
+    /// All-to-all equal blocks (rank i's block j goes to rank j's slot i):
+    /// one scatter rooted at each rank in turn.
+    fn alltoall<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
+        let p = self.size();
+        assert_eq!(send.len(), recv.len(), "alltoall buffer length mismatch");
+        assert_eq!(send.len() % p, 0, "alltoall buffer not divisible by size");
+        let len = send.len() / p;
+        for src in 0..p {
+            let own = (self.rank() == src).then_some(send);
+            self.scatter(own, &mut recv[src * len..(src + 1) * len], src);
+        }
+    }
 
     /// Partition into sub-communicators by `color`, ordered by `key`
     /// (negative color opts out).
@@ -186,21 +260,6 @@ impl Communicator for crate::comm::PureComm {
     }
     fn bcast<T: PureDatatype>(&self, data: &mut [T], root: usize) {
         crate::comm::PureComm::bcast(self, data, root)
-    }
-    fn gather<T: PureDatatype>(&self, send: &[T], recv: Option<&mut [T]>, root: usize) {
-        crate::comm::PureComm::gather(self, send, recv, root)
-    }
-    fn allgather<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
-        crate::comm::PureComm::allgather(self, send, recv)
-    }
-    fn scatter<T: PureDatatype>(&self, send: Option<&[T]>, recv: &mut [T], root: usize) {
-        crate::comm::PureComm::scatter(self, send, recv, root)
-    }
-    fn scan<T: Reducible>(&self, input: &[T], output: &mut [T], op: ReduceOp) {
-        crate::comm::PureComm::scan(self, input, output, op)
-    }
-    fn alltoall<T: PureDatatype>(&self, send: &[T], recv: &mut [T]) {
-        crate::comm::PureComm::alltoall(self, send, recv)
     }
     fn split(&self, color: i64, key: i64) -> Option<Self> {
         crate::comm::PureComm::split(self, color, key)

@@ -32,7 +32,7 @@
 //! | `pure_bcast` | [`crate::comm::PureComm::bcast`] |
 //! | `pure_barrier` | [`crate::comm::PureComm::barrier`] |
 //! | `pure_comm_split` | [`crate::comm::PureComm::split`] |
-//! | *(extensions beyond the paper's four)* | [`crate::comm::PureComm::gather`], [`crate::comm::PureComm::allgather`], [`crate::comm::PureComm::scatter`], [`crate::comm::PureComm::scan`] |
+//! | *(extensions beyond the paper's four; default methods composed from broadcast, shared with the baseline)* | [`crate::Communicator::gather`], [`crate::Communicator::allgather`], [`crate::Communicator::scatter`], [`crate::Communicator::scan`], [`crate::Communicator::alltoall`] |
 //!
 //! ## Pure Tasks (§3.2, §4.3)
 //!

@@ -35,7 +35,7 @@ enum Arrive<'a> {
 }
 
 impl PureComm {
-    pub(crate) fn bump_collective_stat(&self) {
+    fn bump_collective_stat(&self) {
         self.local.op_event();
         if let Err(e) = self.op_enter("collective") {
             self.local.escalate(e);
@@ -43,18 +43,8 @@ impl PureComm {
         self.local.collectives.set(self.local.collectives.get() + 1);
     }
 
-    pub(crate) fn multi_node(&self) -> bool {
+    fn multi_node(&self) -> bool {
         self.meta.nodes.len() > 1
-    }
-
-    /// Arrival without payload (for the gather/scatter/scan family).
-    pub(crate) fn arrive_nothing(&self, r: u64) {
-        self.arrive(r, Arrive::Nothing);
-    }
-
-    /// Arrival publishing a pointer payload.
-    pub(crate) fn arrive_ptr(&self, r: u64, ptr: *const u8, len: usize) {
-        self.arrive(r, Arrive::Ptr(ptr, len));
     }
 
     /// Invariant 1: deposit payload (if any) and signal arrival at `r`.
@@ -79,7 +69,7 @@ impl PureComm {
     }
 
     /// Invariant 2: wait until every group member has arrived at `r`.
-    pub(crate) fn wait_all_arrivals(&self, r: u64) {
+    fn wait_all_arrivals(&self, r: u64) {
         let g = self.group_len();
         match self.local.shared.cfg.arrival {
             ArrivalMode::Sptd => {
@@ -108,7 +98,7 @@ impl PureComm {
         }
     }
 
-    pub(crate) fn wait_leader_seq(&self, r: u64) {
+    fn wait_leader_seq(&self, r: u64) {
         self.local
             .ssw_op("collective leader result", None, None, || {
                 (self.area.leader_seq() >= r).then_some(())
@@ -118,7 +108,7 @@ impl PureComm {
     /// Wait until every group member has published its `done` backedge for
     /// round `r` (leader side), with the same batched single-scan shape as
     /// [`PureComm::wait_all_arrivals`].
-    pub(crate) fn wait_all_done(&self, r: u64) {
+    fn wait_all_done(&self, r: u64) {
         let g = self.group_len();
         let mut next = 0usize;
         self.local
@@ -177,6 +167,30 @@ impl PureComm {
         output.copy_from_slice(unsafe { self.area.scratch.as_slice::<T>(input.len()) });
     }
 
+    /// In-place all-reduce (the `MPI_IN_PLACE` convenience): `buf` holds
+    /// this rank's contribution on entry and the full reduction on exit.
+    ///
+    /// Runs the same round protocol as [`PureComm::allreduce`] with `buf`
+    /// serving as both input and output — no staging copy. Overwriting `buf`
+    /// only after `leader_seq` reaches this round is safe: the leader
+    /// publishes only after every member's `done` backedge (large path) or
+    /// after all dropbox payloads were combined (small path, where `buf` was
+    /// copied out at arrival), so no peer still reads `buf`.
+    pub fn allreduce_in_place<T: Reducible>(&self, buf: &mut [T], op: ReduceOp) {
+        self.bump_collective_stat();
+        let r = self.next_round();
+        let bytes = std::mem::size_of_val(buf);
+        if bytes <= self.local.shared.cfg.small_coll_max {
+            self.reduce_small(r, buf, op, None);
+        } else {
+            self.reduce_large(r, buf, op, None);
+        }
+        self.wait_leader_seq(r);
+        // SAFETY: observed leader_seq >= r; scratch holds round r's result
+        // and is not mutated until all members arrive at a later round.
+        buf.copy_from_slice(unsafe { self.area.scratch.as_slice::<T>(buf.len()) });
+    }
+
     /// Reduce to `root` (comm rank). `output` is only written on the root;
     /// pass `None` elsewhere.
     pub fn reduce<T: Reducible>(
@@ -220,7 +234,7 @@ impl PureComm {
     /// `reduce_root_node`: `None` for all-reduce (leaders run cross-node
     /// all-reduce, every leader publishes), `Some(node_idx)` for rooted
     /// reduce (leaders reduce towards that node; only it publishes).
-    pub(crate) fn reduce_small<T: Reducible>(
+    fn reduce_small<T: Reducible>(
         &self,
         r: u64,
         input: &[T],
@@ -257,7 +271,7 @@ impl PureComm {
     /// The Partitioned Reducer (§4.2.2, Figure 3): every member publishes a
     /// pointer to its input, all members concurrently reduce disjoint
     /// cacheline-aligned chunks of the output.
-    pub(crate) fn reduce_large<T: Reducible>(
+    fn reduce_large<T: Reducible>(
         &self,
         r: u64,
         input: &[T],
@@ -392,7 +406,7 @@ impl PureComm {
         }
     }
 
-    pub(crate) fn wait_bcast_seq(&self, r: u64) {
+    fn wait_bcast_seq(&self, r: u64) {
         self.local.ssw_op("bcast payload", None, None, || {
             (self.area.bcast_seq.load(Ordering::Acquire) >= r).then_some(())
         });

@@ -450,7 +450,7 @@ impl PureComm {
     /// (`MPI_Comm_shrink`): [`PureComm::agree`] on the failure view, drop
     /// the dead members, and construct a fresh communicator — new id, new
     /// collective areas, and a fresh cross-node tag window from the
-    /// launch-wide [`TagBaseAlloc`], so no wire tag of the poisoned parent
+    /// launch-wide `TagBaseAlloc`, so no wire tag of the poisoned parent
     /// can ever match traffic of the shrunk child. Collective over
     /// surviving members; works on a revoked communicator.
     pub fn shrink(&self) -> PureResult<PureComm> {

@@ -82,8 +82,7 @@ pub fn tree_depth(p: usize, k: usize) -> usize {
 
 // Wire phases of the hierarchical algorithms — a band disjoint from the
 // flat reductions (0..=31), flat bcast/reduce (32/33), dissemination
-// barrier (40..), the gather family (48..=51) and survivor agreement
-// (200). Each (src-node, dst-node, phase) stream is FIFO, so one phase
+// barrier (40..) and survivor agreement (200). Each (src-node, dst-node, phase) stream is FIFO, so one phase
 // per traversal direction suffices even for multi-step rings.
 const PH_KARY_UP: u32 = 52; // k-ary all-reduce combine toward pos 0
 const PH_KARY_DOWN: u32 = 53; // k-ary all-reduce result distribution
@@ -204,7 +203,7 @@ pub struct LeaderGroup<'a> {
     /// rank unwinds too (`None` in bare harness tests: plain panic).
     pub(crate) local: Option<&'a RankLocal>,
     /// Largest payload sent as a single eager frame; larger ones go through
-    /// the header-then-chunks wire rendezvous (see [`RDV_MAGIC`]).
+    /// the header-then-chunks wire rendezvous (see `RDV_MAGIC`).
     pub wire_eager_max: usize,
     /// Inter-node algorithm family for this group's collectives.
     pub algo: InternodeAlgo,
@@ -363,9 +362,8 @@ impl LeaderGroup<'_> {
         ob.copy_from_slice(&payload);
     }
 
-    /// Raw byte send to another leader on dedicated `phase` (for the
-    /// gather/scatter family, which moves variable-size concatenated
-    /// blocks).
+    /// Raw byte send to another leader on dedicated `phase` (variable-size
+    /// payloads such as survivor-agreement tokens).
     pub fn send_bytes(&self, dst_pos: usize, phase: u32, data: &[u8]) {
         self.send_t(dst_pos, phase, data);
     }
@@ -498,9 +496,8 @@ impl LeaderGroup<'_> {
         }
     }
 
-    /// Broadcast on a caller-chosen phase tag (the gather/scan family runs
-    /// sequences of broadcasts that must not alias the reduction phases).
-    pub fn bcast_phase<T: PureDatatype>(&self, root_pos: usize, data: &mut [T], phase: u32) {
+    /// Binomial-tree broadcast on wire phase `phase`.
+    fn bcast_phase<T: PureDatatype>(&self, root_pos: usize, data: &mut [T], phase: u32) {
         let p = self.nodes.len();
         if p <= 1 {
             return;

@@ -1,6 +1,7 @@
 //! End-to-end tests of the extension collectives — gather, allgather,
-//! scatter, scan — on single- and multi-node topologies, small and large
-//! blocks, every root.
+//! scatter, scan, alltoall — on single- and multi-node topologies, small
+//! and large blocks, every root. On `PureComm` these are the `Communicator`
+//! default methods, composed from `bcast` and shared with the MPI baseline.
 
 use pure_core::prelude::*;
 

@@ -42,14 +42,18 @@ fn snapshot_is_consistent_under_concurrent_increments() {
         std::thread::spawn(move || {
             let mut last = 0u64;
             let mut samples = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            // Sample before the first `stop` check: the writers may all
+            // finish before this thread is first scheduled.
+            loop {
                 let v = block.snapshot().get(Counter::PbqEnq);
                 assert!(v >= last, "snapshot went backwards: {v} < {last}");
                 assert!(v <= PER_THREAD * THREADS as u64, "phantom counts: {v}");
                 last = v;
                 samples += 1;
+                if stop.load(Ordering::Acquire) {
+                    break samples;
+                }
             }
-            samples
         })
     };
 

@@ -27,7 +27,7 @@
 //! the untouched lock-free code.
 //!
 //! With `--features model` the same items become instrumented shims: inside
-//! [`check`]/[`model`] every atomic/cell operation is a *schedule point*
+//! `check`/`model` every atomic/cell operation is a *schedule point*
 //! where a DFS scheduler (bounded-preemption, with yield-deprioritisation
 //! for spin loops) decides which thread performs the next operation. The
 //! checker maintains FastTrack-style vector clocks: release stores publish
@@ -42,7 +42,7 @@
 //!
 //! ## Counterexamples and replay
 //!
-//! A failing schedule is reported as a [`Counterexample`]: the failure
+//! A failing schedule is reported as a `Counterexample`: the failure
 //! message, the exact thread-choice sequence, and a per-operation trace
 //! (re-executed with tracing on — runs are deterministic). Set
 //! `PURE_MODEL_REPLAY=<dotted thread ids>` to re-run exactly that schedule

@@ -17,7 +17,7 @@
 //!
 //! Two constructions exist:
 //!
-//! * [`loopback_mesh`] — every node in one process, meshed over 127.0.0.1
+//! * `loopback_mesh` — every node in one process, meshed over 127.0.0.1
 //!   ephemeral ports. This is what [`crate::Cluster`] builds for
 //!   [`crate::Backend::Tcp`], and what the cross-backend differential
 //!   oracle runs against: the full protocol stack over real sockets,

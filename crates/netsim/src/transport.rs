@@ -1206,7 +1206,7 @@ impl NodeEndpoint {
     /// it from their fruitless polls.
     ///
     /// A marked buffer goes out at the first such call that finds its oldest
-    /// subframe [`BLOCKED_LINGER_NS`] old (or `flush_ns` old, if that is
+    /// subframe `BLOCKED_LINGER_NS` old (or `flush_ns` old, if that is
     /// less); until then the mark stays and the caller keeps polling.
     ///
     /// A handle that has buffered nothing since its last flush pays one
