@@ -7,8 +7,8 @@
 //!
 //! Part (b) runs the *real* runtime — 4 ranks on 2 simulated nodes — and
 //! streams small cross-node messages over every leg in [`wire_legs`]:
-//! coalescing off, cooperatively coalesced and helper-thread coalesced.
-//! The headline ratio `wire_frame_reduction_small` is frames(off) /
+//! coalescing off and on, with the blocked ranks driving the progress
+//! engine from their SSW waits. The headline ratio `wire_frame_reduction_small` is frames(off) /
 //! frames(on); the PR's acceptance floor is 2×, and the count watermark
 //! (8 subframes per jumbo) puts the steady-state figure well above that.
 //!
@@ -82,7 +82,7 @@ fn crossnode_stream(cfg: Config, msgs: u64) -> (RuntimeStats, f64) {
     (report.stats, ns_per_msg)
 }
 
-fn cfg_on(backend: Backend, coalesce: bool, mode: ProgressMode) -> Config {
+fn cfg_on(backend: Backend, coalesce: bool) -> Config {
     let mut c = Config::new(4)
         .with_ranks_per_node(2)
         .with_transport(backend);
@@ -90,21 +90,20 @@ fn cfg_on(backend: Backend, coalesce: bool, mode: ProgressMode) -> Config {
     if coalesce {
         c = c.with_coalescing(CoalescePlan::default());
     }
-    c.with_progress_mode(mode)
+    c
 }
 
-fn cfg(coalesce: bool, mode: ProgressMode) -> Config {
-    cfg_on(Backend::Sim, coalesce, mode)
+fn cfg(coalesce: bool) -> Config {
+    cfg_on(Backend::Sim, coalesce)
 }
 
 /// One leg of the real-runtime sweep. The table rows and the per-leg ≥2×
 /// frame-reduction assertions are derived from this list, so a leg added
 /// here is automatically measured *and* gated — there is no separate
-/// hardcoded mode list to forget to update.
+/// hardcoded leg list to forget to update.
 struct WireLeg {
     name: &'static str,
     coalesce: bool,
-    mode: ProgressMode,
 }
 
 fn wire_legs() -> Vec<WireLeg> {
@@ -112,17 +111,10 @@ fn wire_legs() -> Vec<WireLeg> {
         WireLeg {
             name: "off",
             coalesce: false,
-            mode: ProgressMode::Cooperative,
         },
         WireLeg {
-            name: "cooperative",
+            name: "coalesced",
             coalesce: true,
-            mode: ProgressMode::Cooperative,
-        },
-        WireLeg {
-            name: "helper",
-            coalesce: true,
-            mode: ProgressMode::Helper,
         },
     ]
 }
@@ -134,7 +126,7 @@ fn main() {
     let msgs: u64 = trajectory::pick(512, 64);
     header(
         "Figure 6b (real) — wire frames for small cross-node streams",
-        "4 ranks / 2 nodes; frames on the internode wire, per progress mode",
+        "4 ranks / 2 nodes; frames on the internode wire, coalescing off vs on",
     );
     println!(
         "{}",
@@ -154,7 +146,7 @@ fn main() {
     let sent = (2 * msgs) as f64;
     let runs: Vec<(RuntimeStats, f64)> = legs
         .iter()
-        .map(|leg| crossnode_stream(cfg(leg.coalesce, leg.mode), msgs))
+        .map(|leg| crossnode_stream(cfg(leg.coalesce), msgs))
         .collect();
     for (leg, (stats, ns)) in legs.iter().zip(&runs) {
         println!(
@@ -216,13 +208,12 @@ fn main() {
             .unwrap_or_else(|| panic!("no wire leg named {name:?}"));
         (&runs[i].0, runs[i].1)
     };
-    let (coop, coop_ns) = by_name("cooperative");
-    let (helper, helper_ns) = by_name("helper");
+    let (coal, coal_ns) = by_name("coalesced");
 
     // Zero-copy: the pooled path pays exactly one gather copy per message
     // (user buffer → pooled jumbo) and scatters borrowed slices.
     assert!(
-        coop.net_frames_borrowed > 0,
+        coal.net_frames_borrowed > 0,
         "zero-copy path must hand borrowed slices to the match store"
     );
 
@@ -230,7 +221,7 @@ fn main() {
     // piggyback (every data frame and ACK counts as evidence) must keep
     // explicit heartbeat frames below 1% of wire traffic on a busy stream —
     // the detector is supposed to be observability, not load.
-    let mut det_cfg = cfg(false, ProgressMode::Cooperative);
+    let mut det_cfg = cfg(false);
     det_cfg.net = det_cfg.net.with_detection(DetectPlan::default());
     let (det, _) = crossnode_stream(det_cfg, msgs);
     let hb_share = det.net_heartbeats as f64 / det.net_frames.max(1) as f64;
@@ -256,24 +247,22 @@ fn main() {
     // optimization, so its frame reduction must survive the backend swap —
     // the jumbos now cross actual socket writes, and the telemetry counts
     // the same wire frames. Acceptance floor is the same 2×.
-    let (tcp_off, tcp_off_ns) =
-        crossnode_stream(cfg_on(Backend::Tcp, false, ProgressMode::Cooperative), msgs);
-    let (tcp_coop, tcp_coop_ns) =
-        crossnode_stream(cfg_on(Backend::Tcp, true, ProgressMode::Cooperative), msgs);
-    let tcp_reduction = tcp_off.net_frames as f64 / tcp_coop.net_frames.max(1) as f64;
+    let (tcp_off, tcp_off_ns) = crossnode_stream(cfg_on(Backend::Tcp, false), msgs);
+    let (tcp_coal, tcp_coal_ns) = crossnode_stream(cfg_on(Backend::Tcp, true), msgs);
+    let tcp_reduction = tcp_off.net_frames as f64 / tcp_coal.net_frames.max(1) as f64;
     println!(
-        "\nwire frame reduction over TCP (off/cooperative): {} \
+        "\nwire frame reduction over TCP (off/coalesced): {} \
          ({} -> {} frames, {:.0} -> {:.0} ns/msg)",
         speedup(tcp_reduction),
         tcp_off.net_frames,
-        tcp_coop.net_frames,
+        tcp_coal.net_frames,
         tcp_off_ns,
-        tcp_coop_ns
+        tcp_coal_ns
     );
     assert!(
         tcp_reduction >= 2.0,
         "coalescing must at least halve wire frames over the TCP backend: {} vs {}",
-        tcp_coop.net_frames,
+        tcp_coal.net_frames,
         tcp_off.net_frames
     );
 
@@ -282,22 +271,20 @@ fn main() {
     // machine-independent ratios bench_compare can police.
     fig.ratio(
         "wire_frame_reduction_small",
-        off.net_frames as f64 / coop.net_frames.max(1) as f64,
+        off.net_frames as f64 / coal.net_frames.max(1) as f64,
     );
     fig.ratio("wire_frame_reduction_small_tcp", tcp_reduction);
     fig.raw("pure_crossnode_off_ns_per_msg", off_ns);
-    fig.raw("pure_crossnode_coalesced_ns_per_msg", coop_ns);
-    fig.raw("pure_crossnode_helper_ns_per_msg", helper_ns);
+    fig.raw("pure_crossnode_coalesced_ns_per_msg", coal_ns);
     fig.raw(
         "pure_crossnode_memcpy_bytes_per_msg",
-        coop.net_memcpy_bytes as f64 / sent,
+        coal.net_memcpy_bytes as f64 / sent,
     );
     fig.telemetry(
         "frames_per_flush",
-        coop.net_coalesced as f64 / coop.net_coalesce_flushes.max(1) as f64,
+        coal.net_coalesced as f64 / coal.net_coalesce_flushes.max(1) as f64,
     );
-    fig.telemetry("cooperative_progress_polls", coop.net_progress_polls as f64);
-    fig.telemetry("helper_progress_polls", helper.net_progress_polls as f64);
+    fig.telemetry("progress_polls", coal.net_progress_polls as f64);
     fig.telemetry("detect_heartbeat_share", hb_share);
 
     if trajectory::emit_requested() {

@@ -2,20 +2,19 @@
 //! the real runtime of this machine:
 //!
 //! 1. PBQ slot count (paper §4.1.1: "not a material performance driver");
-//! 2. SPTD pairwise sequence numbers vs a shared atomic arrival counter
-//!    (paper §4.2.1: pairwise "vastly outperformed" — on one oversubscribed
-//!    core the gap narrows, but the knob is exercised end-to-end);
 //! 3. chunk claim mode (single vs guided) × steal policy (random /
 //!    NUMA-aware / sticky) — paper §4.3 found "no significant performance
 //!    differences"; we verify none of them breaks anything and report times.
-//! 4. PBQ cached vs uncached indices: the producer/consumer-side cached
-//!    opposite-index fast path (one shared cacheline touched per op in the
-//!    common case) against the always-load variant, on the real runtime and
-//!    in the DES cost model.
+//! 4. PBQ cached vs uncached indices, in the DES cost model: the
+//!    producer/consumer-side cached opposite-index fast path (one shared
+//!    cacheline touched per op in the common case) against the always-load
+//!    variant. The runtime ships only the cached queue.
 //! 5. Telemetry overhead: the relaxed-atomic counter registry on vs off
-//!    (`Config::telemetry`) around the same ping-pong. The counters are
-//!    designed to be invisible in the hot path; `PURE_ASSERT_OVERHEAD=1`
-//!    turns the ≤5 % expectation into a hard assertion (used by the gate).
+//!    (`Config::telemetry`) around the same ping-pong. Reported, not
+//!    enforced: on a shared host the delta is mostly scheduling noise.
+//!
+//! There is no number 2 (SPTD vs shared-counter arrival): the runtime ships
+//! SPTD arrival only. EXPERIMENTS.md "Ablations" keeps its last reading.
 
 use miniapps::stencil::{rand_stencil, StencilParams};
 use pure_bench::trajectory::{self, Figure};
@@ -23,10 +22,9 @@ use pure_bench::{header, row};
 use pure_core::prelude::*;
 use std::time::Instant;
 
-fn pingpong_with_slots(slots: usize, iters: usize) -> f64 {
-    let mut cfg = Config::new(2);
+/// Rank 0's ns per 64 B message of a two-rank ping-pong under `cfg`.
+fn pingpong(mut cfg: Config, iters: usize) -> f64 {
     cfg.spin_budget = 200;
-    cfg.pbq_slots = slots;
     let (_, times) = launch_map(cfg, move |ctx| {
         let w = ctx.world();
         let tx = [1u8; 64];
@@ -43,70 +41,6 @@ fn pingpong_with_slots(slots: usize, iters: usize) -> f64 {
             }
         }
         t0.elapsed().as_nanos() as f64 / (2 * iters) as f64
-    });
-    times[0]
-}
-
-fn pingpong_with_telemetry(on: bool, iters: usize) -> f64 {
-    let mut cfg = Config::new(2);
-    cfg.spin_budget = 200;
-    cfg.telemetry = on;
-    let (_, times) = launch_map(cfg, move |ctx| {
-        let w = ctx.world();
-        let tx = [1u8; 64];
-        let mut rx = [0u8; 64];
-        w.barrier();
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            if ctx.rank() == 0 {
-                w.send(&tx, 1, 0);
-                w.recv(&mut rx, 1, 1);
-            } else {
-                w.recv(&mut rx, 0, 0);
-                w.send(&tx, 0, 1);
-            }
-        }
-        t0.elapsed().as_nanos() as f64 / (2 * iters) as f64
-    });
-    times[0]
-}
-
-fn pingpong_with_cached(cached: bool, iters: usize) -> f64 {
-    let mut cfg = Config::new(2);
-    cfg.spin_budget = 200;
-    cfg.pbq_cached_indices = cached;
-    let (_, times) = launch_map(cfg, move |ctx| {
-        let w = ctx.world();
-        let tx = [1u8; 64];
-        let mut rx = [0u8; 64];
-        w.barrier();
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            if ctx.rank() == 0 {
-                w.send(&tx, 1, 0);
-                w.recv(&mut rx, 1, 1);
-            } else {
-                w.recv(&mut rx, 0, 0);
-                w.send(&tx, 0, 1);
-            }
-        }
-        t0.elapsed().as_nanos() as f64 / (2 * iters) as f64
-    });
-    times[0]
-}
-
-fn allreduce_with_arrival(mode: ArrivalMode, ranks: usize, iters: usize) -> f64 {
-    let mut cfg = Config::new(ranks);
-    cfg.spin_budget = 16;
-    cfg.arrival = mode;
-    let (_, times) = launch_map(cfg, move |ctx| {
-        let w = ctx.world();
-        w.barrier();
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let _ = w.allreduce_one(ctx.rank() as u64, ReduceOp::Sum);
-        }
-        t0.elapsed().as_nanos() as f64 / iters as f64
     });
     times[0]
 }
@@ -139,32 +73,13 @@ fn main() {
     );
     println!("{}", row("slots", &["ns/msg".into()]));
     for slots in [2usize, 8, 64] {
+        let mut cfg = Config::new(2);
+        cfg.pbq_slots = slots;
         println!(
             "{}",
             row(
                 &slots.to_string(),
-                &[format!("{:.0}", pingpong_with_slots(slots, pp_iters))]
-            )
-        );
-    }
-
-    header(
-        "Ablation 2 — SPTD pairwise vs shared-counter arrival (8 B allreduce)",
-        "paper: pairwise vastly outperformed the shared counter",
-    );
-    println!("{}", row("mode", &["ns/op".into()]));
-    for (name, mode) in [
-        ("SPTD pairwise", ArrivalMode::Sptd),
-        ("shared counter", ArrivalMode::SharedCounter),
-    ] {
-        println!(
-            "{}",
-            row(
-                name,
-                &[format!(
-                    "{:.0}",
-                    allreduce_with_arrival(mode, 4, trajectory::pick(300, 60))
-                )]
+                &[format!("{:.0}", pingpong(cfg, pp_iters))]
             )
         );
     }
@@ -200,26 +115,12 @@ fn main() {
     }
 
     header(
-        "Ablation 4 — PBQ cached vs uncached indices (64 B ping-pong)",
+        "Ablation 4 — PBQ cached vs uncached indices (DES model, 64 B)",
         "cached opposite-index fast path vs loading the shared line every op",
     );
-    println!("{}", row("variant", &["ns/msg".into()]));
-    let cached_ns = pingpong_with_cached(true, pp_iters);
-    let uncached_ns = pingpong_with_cached(false, pp_iters);
-    println!("{}", row("cached", &[format!("{cached_ns:.0}")]));
-    println!("{}", row("uncached", &[format!("{uncached_ns:.0}")]));
-    println!(
-        "{}",
-        row(
-            "delta",
-            &[format!(
-                "{:+.1}%",
-                (uncached_ns - cached_ns) / cached_ns * 100.0
-            )]
-        )
-    );
-    // The DES cost model exposes the same knob; report its prediction for a
-    // same-core pair so the measured delta has a modeled counterpart.
+    println!("{}", row("variant", &["uncached delta".into()]));
+    // The runtime ships only the cached queue; the DES cost model keeps
+    // both, so report its prediction for a same-core pair.
     {
         use cluster_sim::cost::{CostModel, MsgStack, Placement};
         let cached = CostModel::default();
@@ -239,8 +140,6 @@ fn main() {
         // Deterministic model ratio: uncached cost over cached (≥ 1).
         fig.ratio("model_uncached_over_cached_64B", u / c);
     }
-    fig.raw("pingpong_cached_ns", cached_ns);
-    fig.raw("pingpong_uncached_ns", uncached_ns);
 
     header(
         "Ablation 5 — telemetry overhead (64 B ping-pong)",
@@ -255,8 +154,8 @@ fn main() {
     let mut on_ns = f64::INFINITY;
     let mut off_ns = f64::INFINITY;
     for _ in 0..runs {
-        on_ns = on_ns.min(pingpong_with_telemetry(true, pp_iters));
-        off_ns = off_ns.min(pingpong_with_telemetry(false, pp_iters));
+        on_ns = on_ns.min(pingpong(Config::new(2).with_telemetry(true), pp_iters));
+        off_ns = off_ns.min(pingpong(Config::new(2).with_telemetry(false), pp_iters));
     }
     let overhead_pct = (on_ns - off_ns) / off_ns * 100.0;
     println!("{}", row("counters on", &[format!("{on_ns:.0}")]));
@@ -265,14 +164,6 @@ fn main() {
     fig.raw("telemetry_on_ns", on_ns);
     fig.raw("telemetry_off_ns", off_ns);
     fig.telemetry("overhead_pct", overhead_pct);
-    if std::env::var("PURE_ASSERT_OVERHEAD").as_deref() == Ok("1") {
-        assert!(
-            on_ns <= off_ns * 1.05,
-            "telemetry overhead {overhead_pct:+.1}% exceeds the 5% budget \
-             (on {on_ns:.0} ns vs off {off_ns:.0} ns)"
-        );
-        println!("telemetry overhead within the 5% budget");
-    }
 
     if trajectory::emit_requested() {
         fig.write();

@@ -25,34 +25,16 @@ fn bench_pbq(c: &mut Criterion) {
             assert_eq!(q.try_recv(black_box(&mut out)), Some(64));
         })
     });
-    g.finish();
-}
-
-fn bench_pbq_cached_vs_uncached(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pbq_cached_vs_uncached");
-    g.sample_size(20);
-    for (name, cached) in [("cached", true), ("uncached", false)] {
-        let q = PureBufferQueue::new_with_mode(8, 256, cached);
-        let payload = [0xabu8; 64];
-        let mut out = [0u8; 256];
-        g.bench_function(format!("send_recv_64B_{name}"), |b| {
-            b.iter(|| {
-                assert!(q.try_send(black_box(&payload)));
-                assert_eq!(q.try_recv(black_box(&mut out)), Some(64));
-            })
-        });
-        let q = PureBufferQueue::new_with_mode(8, 256, cached);
-        g.bench_function(format!("batch4_send_recv_64B_{name}"), |b| {
-            b.iter(|| {
-                let msgs: [&[u8]; 4] = [&payload, &payload, &payload, &payload];
-                assert_eq!(q.try_send_batch(black_box(msgs)), 4);
-                assert_eq!(
-                    q.try_recv_batch(4, |_, bytes| assert_eq!(bytes.len(), 64)),
-                    4
-                );
-            })
-        });
-    }
+    g.bench_function("batch4_send_recv_64B_single_thread", |b| {
+        b.iter(|| {
+            let msgs: [&[u8]; 4] = [&payload, &payload, &payload, &payload];
+            assert_eq!(q.try_send_batch(black_box(msgs)), 4);
+            assert_eq!(
+                q.try_recv_batch(4, |_, bytes| assert_eq!(bytes.len(), 64)),
+                4
+            );
+        })
+    });
     g.finish();
 }
 
@@ -184,7 +166,6 @@ fn bench_task_scheduler(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_pbq,
-    bench_pbq_cached_vs_uncached,
     bench_envelope,
     bench_p2p_real,
     bench_collectives_real,

@@ -739,9 +739,6 @@ pub struct ChannelFactoryCfg {
     pub pbq_slots: usize,
     /// Envelope slots per rendezvous channel.
     pub env_slots: usize,
-    /// PBQ cached-index fast path (false = reload the opposite index on
-    /// every operation; the ablation baseline).
-    pub pbq_cached: bool,
 }
 
 /// The global (per run) channel table: maps keys to live channels.
@@ -787,11 +784,7 @@ impl ChannelTable {
                 })
             } else if key.bytes <= cfg.small_msg_max as u64 {
                 Channel::Small(SmallChannel {
-                    pbq: PureBufferQueue::new_with_mode(
-                        cfg.pbq_slots,
-                        key.bytes as usize,
-                        cfg.pbq_cached,
-                    ),
+                    pbq: PureBufferQueue::new(cfg.pbq_slots, key.bytes as usize),
                     send: SideCell::new(InFlight::default()),
                     recv: SideCell::new(InFlight::default()),
                 })
@@ -841,7 +834,6 @@ mod tests {
             small_msg_max: 64,
             pbq_slots: 4,
             env_slots: 4,
-            pbq_cached: true,
         }
     }
 

@@ -19,8 +19,7 @@
 //! shared counter only when the cached value implies full/empty. In the
 //! common case an operation therefore touches a single shared cacheline (its
 //! own index) instead of two, eliminating the coherence ping-pong between
-//! sender and receiver cores. `new_with_mode(.., cached = false)` disables
-//! the caches for ablation runs.
+//! sender and receiver cores.
 //!
 //! ## Batched operations
 //!
@@ -58,8 +57,6 @@ pub struct PureBufferQueue {
     capacity: usize,
     /// Number of slots (power of two).
     n_slots: usize,
-    /// When false, every operation reloads the opposite index (ablation mode).
-    use_cached: bool,
     /// Producer position (monotonically increasing; slot = tail % n_slots).
     tail: CachePadded<AtomicUsize>,
     /// Producer-private cache of the last observed `head` (same side of the
@@ -102,13 +99,6 @@ impl PureBufferQueue {
     /// Create a queue of `n_slots` slots (rounded up to a power of two), each
     /// holding up to `max_payload` bytes.
     pub fn new(n_slots: usize, max_payload: usize) -> Self {
-        Self::new_with_mode(n_slots, max_payload, true)
-    }
-
-    /// As [`PureBufferQueue::new`], with the index caches switchable for
-    /// ablation (`cached = false` reloads the opposite index on every call,
-    /// the seed behaviour).
-    pub fn new_with_mode(n_slots: usize, max_payload: usize, cached: bool) -> Self {
         let n_slots = n_slots.max(1).next_power_of_two();
         let stride_lines = (HEADER_BYTES + max_payload).div_ceil(CACHE_LINE).max(1);
         let storage = AlignedBytes::new(n_slots * stride_lines * CACHE_LINE);
@@ -117,7 +107,6 @@ impl PureBufferQueue {
             stride_lines,
             capacity: max_payload,
             n_slots,
-            use_cached: cached,
             tail: CachePadded::new(AtomicUsize::new(0)),
             cached_head: CachePadded::new(Cell::new(0)),
             prod_refreshes: Cell::new(0),
@@ -145,11 +134,6 @@ impl PureBufferQueue {
         self.tail
             .load(Ordering::Relaxed)
             .saturating_sub(self.head.load(Ordering::Relaxed))
-    }
-
-    /// True when the index caches are active (false in ablation mode).
-    pub fn cached_indices(&self) -> bool {
-        self.use_cached
     }
 
     #[inline]
@@ -181,15 +165,13 @@ impl PureBufferQueue {
     /// head only when the cache implies the queue is full. (Producer thread.)
     #[inline]
     fn free_slots(&self, tail: usize) -> usize {
-        if self.use_cached {
-            let free = self.n_slots - tail.wrapping_sub(self.cached_head.get());
-            if free > 0 {
-                return free;
-            }
+        let free = self.n_slots - tail.wrapping_sub(self.cached_head.get());
+        if free > 0 {
+            return free;
         }
-        // Cache says full (or caching is off): reload the shared index. The
-        // acquire pairs with the consumer's release store of `head`, so every
-        // slot at positions < head is finished with and reusable.
+        // Cache says full: reload the shared index. The acquire pairs with
+        // the consumer's release store of `head`, so every slot at positions
+        // < head is finished with and reusable.
         self.prod_refreshes.set(self.prod_refreshes.get() + 1);
         self.cached_head.set(self.head.load(Ordering::Acquire));
         self.n_slots - tail.wrapping_sub(self.cached_head.get())
@@ -199,15 +181,13 @@ impl PureBufferQueue {
     /// tail only when the cache implies the queue is empty. (Consumer thread.)
     #[inline]
     fn available(&self, head: usize) -> usize {
-        if self.use_cached {
-            let avail = self.cached_tail.get().wrapping_sub(head);
-            if avail > 0 {
-                return avail;
-            }
+        let avail = self.cached_tail.get().wrapping_sub(head);
+        if avail > 0 {
+            return avail;
         }
-        // Cache says empty (or caching is off): reload. The acquire pairs
-        // with the producer's release store of `tail`, making the payloads of
-        // every slot at positions < tail visible.
+        // Cache says empty: reload. The acquire pairs with the producer's
+        // release store of `tail`, making the payloads of every slot at
+        // positions < tail visible.
         self.cons_refreshes.set(self.cons_refreshes.get() + 1);
         self.cached_tail.set(self.tail.load(Ordering::Acquire));
         self.cached_tail.get().wrapping_sub(head)
@@ -439,21 +419,18 @@ mod tests {
     }
 
     #[test]
-    fn uncached_mode_matches_cached_semantics() {
-        for cached in [false, true] {
-            let q = PureBufferQueue::new_with_mode(2, 8, cached);
-            assert_eq!(q.cached_indices(), cached);
-            let mut out = [0u8; 8];
-            for lap in 0..5u8 {
-                assert!(q.try_send(&[lap; 4]));
-                assert!(q.try_send(&[lap + 100; 4]));
-                assert!(!q.try_send(&[0; 4]), "full at lap {lap}");
-                assert_eq!(q.try_recv(&mut out), Some(4));
-                assert_eq!(out[..4], [lap; 4]);
-                assert_eq!(q.try_recv(&mut out), Some(4));
-                assert_eq!(out[..4], [lap + 100; 4]);
-                assert_eq!(q.try_recv(&mut out), None);
-            }
+    fn full_and_empty_laps_refresh_the_caches() {
+        let q = PureBufferQueue::new(2, 8);
+        let mut out = [0u8; 8];
+        for lap in 0..5u8 {
+            assert!(q.try_send(&[lap; 4]));
+            assert!(q.try_send(&[lap + 100; 4]));
+            assert!(!q.try_send(&[0; 4]), "full at lap {lap}");
+            assert_eq!(q.try_recv(&mut out), Some(4));
+            assert_eq!(out[..4], [lap; 4]);
+            assert_eq!(q.try_recv(&mut out), Some(4));
+            assert_eq!(out[..4], [lap + 100; 4]);
+            assert_eq!(q.try_recv(&mut out), None);
         }
     }
 
@@ -507,27 +484,25 @@ mod tests {
     #[test]
     fn batch_ops_wrap_around_with_stale_caches() {
         // Drive positions far past n_slots so batches straddle the ring seam
-        // and the caches go stale between bursts, in both modes.
-        for cached in [false, true] {
-            let q = PureBufferQueue::new_with_mode(4, 8, cached);
-            let mut next_send = 0u64;
-            let mut next_recv = 0u64;
-            for burst in 1..=32u64 {
-                let k = (burst % 4 + 1) as usize;
-                let msgs: Vec<[u8; 8]> = (0..k)
-                    .map(|i| (next_send + i as u64).to_le_bytes())
-                    .collect();
-                let sent = q.try_send_batch(msgs.iter().map(|m| &m[..]));
-                assert!(sent > 0, "burst {burst} had space");
-                next_send += sent as u64;
-                let n = q.try_recv_batch(sent, |_, b| {
-                    assert_eq!(b, next_recv.to_le_bytes());
-                    next_recv += 1;
-                });
-                assert_eq!(n, sent);
-            }
-            assert_eq!(next_send, next_recv);
+        // and the caches go stale between bursts.
+        let q = PureBufferQueue::new(4, 8);
+        let mut next_send = 0u64;
+        let mut next_recv = 0u64;
+        for burst in 1..=32u64 {
+            let k = (burst % 4 + 1) as usize;
+            let msgs: Vec<[u8; 8]> = (0..k)
+                .map(|i| (next_send + i as u64).to_le_bytes())
+                .collect();
+            let sent = q.try_send_batch(msgs.iter().map(|m| &m[..]));
+            assert!(sent > 0, "burst {burst} had space");
+            next_send += sent as u64;
+            let n = q.try_recv_batch(sent, |_, b| {
+                assert_eq!(b, next_recv.to_le_bytes());
+                next_recv += 1;
+            });
+            assert_eq!(n, sent);
         }
+        assert_eq!(next_send, next_recv);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Intra-node collective state (§4.2): per-communicator, per-node shared
 //! areas built from SPTDs, a leader-grown scratch buffer, and a broadcast
-//! area, plus the shared-counter arrival variant kept for ablations.
+//! area.
 //!
 //! The collective *algorithms* (leader flat-combining for small payloads,
 //! the all-thread Partitioned Reducer for large ones, broadcast, barrier,
@@ -19,16 +19,6 @@ use crossbeam_utils::CachePadded;
 
 use crate::util::cache::AlignedBytes;
 use sptd::Sptd;
-
-/// How member arrival is signalled to the leader (ablation knob; the paper
-/// found pairwise SPTD sequence numbers "vastly outperformed" the counter).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArrivalMode {
-    /// Pairwise per-thread sequence numbers (the paper's design).
-    Sptd,
-    /// A single shared fetch-add counter.
-    SharedCounter,
-}
 
 /// A shared buffer grown only by the node-group leader, read by members
 /// after an acquire on the round sequence that published it.
@@ -135,8 +125,6 @@ pub struct CollArea {
     pub scratch_ready: CachePadded<AtomicU64>,
     /// Leader-managed reduction scratch.
     pub scratch: GrowBuf,
-    /// Shared-counter arrival variant (ablation).
-    pub arrivals: CachePadded<AtomicU64>,
     /// Round whose broadcast payload is available in `bcast_buf`.
     pub bcast_seq: CachePadded<AtomicU64>,
     /// Broadcast payload buffer.
@@ -152,7 +140,6 @@ impl CollArea {
             leader_seq: CachePadded::new(AtomicU64::new(0)),
             scratch_ready: CachePadded::new(AtomicU64::new(0)),
             scratch: GrowBuf::new(small_cap.max(64)),
-            arrivals: CachePadded::new(AtomicU64::new(0)),
             bcast_seq: CachePadded::new(AtomicU64::new(0)),
             bcast_buf: GrowBuf::new(64),
         }

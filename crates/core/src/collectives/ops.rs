@@ -9,8 +9,8 @@
 //! comm's local counter (all members call collectives in the same order, so
 //! the counters agree — MPI's ordering requirement). The invariants:
 //!
-//! 1. every member signals **arrival** at round `r` (its SPTD sequence, or
-//!    the shared counter in the ablation mode) after writing any payload;
+//! 1. every member signals **arrival** at round `r` (its SPTD sequence)
+//!    after writing any payload;
 //! 2. a member only mutates *shared* state of round `r` (scratch, broadcast
 //!    buffer) after observing **all** arrivals at `r` — since arrival at `r`
 //!    implies a member finished round `r-1`, this is the flow control that
@@ -21,7 +21,6 @@
 
 use interleave::sync::atomic::Ordering;
 
-use crate::collectives::ArrivalMode;
 use crate::comm::PureComm;
 use crate::datatype::{as_bytes, PureDatatype, ReduceOp, Reducible};
 use crate::telemetry::{self, Counter};
@@ -59,43 +58,27 @@ impl PureComm {
                 Arrive::Ptr(p, l) => me.write_ptr(p, l),
             }
         }
-        match self.local.shared.cfg.arrival {
-            ArrivalMode::Sptd => me.publish_seq(r),
-            ArrivalMode::SharedCounter => {
-                self.area.arrivals.fetch_add(1, Ordering::Release);
-            }
-        }
+        me.publish_seq(r);
         telemetry::count(Counter::SptdRound);
     }
 
     /// Invariant 2: wait until every group member has arrived at `r`.
     fn wait_all_arrivals(&self, r: u64) {
         let g = self.group_len();
-        match self.local.shared.cfg.arrival {
-            ArrivalMode::Sptd => {
-                // Batched scan: one SSW wait sweeping every dropbox, instead
-                // of g−1 sequential waits each paying its own steal/yield
-                // cycle. `next` persists across polls so already-seen
-                // arrivals are never re-loaded.
-                let mut next = 0usize;
-                self.local.ssw_op("collective arrivals", None, None, || {
-                    while next < g {
-                        if next == self.my_group_pos || self.area.sptd[next].seq() >= r {
-                            next += 1;
-                        } else {
-                            return None;
-                        }
-                    }
-                    Some(())
-                });
+        // Batched scan: one SSW wait sweeping every dropbox, instead of g−1
+        // sequential waits each paying its own steal/yield cycle. `next`
+        // persists across polls so already-seen arrivals are never re-loaded.
+        let mut next = 0usize;
+        self.local.ssw_op("collective arrivals", None, None, || {
+            while next < g {
+                if next == self.my_group_pos || self.area.sptd[next].seq() >= r {
+                    next += 1;
+                } else {
+                    return None;
+                }
             }
-            ArrivalMode::SharedCounter => {
-                let target = g as u64 * r;
-                self.local.ssw_op("collective arrivals", None, None, || {
-                    (self.area.arrivals.load(Ordering::Acquire) >= target).then_some(())
-                });
-            }
-        }
+            Some(())
+        });
     }
 
     fn wait_leader_seq(&self, r: u64) {

@@ -72,7 +72,6 @@ pub mod util;
 pub mod writing_pure_programs;
 
 pub use api::{wait_all_poll, CommRequest, Communicator};
-pub use collectives::ArrivalMode;
 pub use comm::PureComm;
 pub use datatype::{PureDatatype, ReduceOp, Reducible};
 pub use error::{PureError, PureResult};
@@ -80,7 +79,7 @@ pub use internode::InternodeAlgo;
 pub use msg::{wait_all, Request};
 pub use runtime::{
     launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
-    ProgressMode, RankCtx, RankFaults, RankStats, Tag,
+    RankCtx, RankFaults, RankStats, Tag,
 };
 pub use task::scheduler::{ChunkMode, StealPolicy};
 pub use task::{ChunkRange, PureTask, SharedSlice};
@@ -89,14 +88,13 @@ pub use telemetry::{Counter, CounterSnapshot, RuntimeStats, TraceEvent};
 /// The convenient glob-import surface.
 pub mod prelude {
     pub use crate::api::{wait_all_poll, CommRequest, Communicator};
-    pub use crate::collectives::ArrivalMode;
     pub use crate::comm::PureComm;
     pub use crate::datatype::{PureDatatype, ReduceOp, Reducible};
     pub use crate::error::{PureError, PureResult};
     pub use crate::internode::InternodeAlgo;
     pub use crate::runtime::{
         launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
-        ProgressMode, RankCtx, RankFaults, Tag,
+        RankCtx, RankFaults, Tag,
     };
     pub use crate::task::scheduler::{ChunkMode, StealPolicy};
     pub use crate::task::{ChunkRange, PureTask, SharedSlice};

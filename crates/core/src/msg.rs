@@ -88,16 +88,7 @@ impl PureComm {
                 ch.try_flush_sends(&self.local.ep, seq + 1).then_some(())
             });
         }
-        self.count_sent(bytes);
-    }
-
-    fn count_sent(&self, bytes: usize) {
-        self.local.msgs_sent.set(self.local.msgs_sent.get() + 1);
-        self.local
-            .bytes_sent
-            .set(self.local.bytes_sent.get() + bytes as u64);
-        // Message-size histogram: feeds the auto-tuner's threshold picks.
-        telemetry::count(telemetry::msg_size_bucket(bytes));
+        self.local.count_sent(bytes);
     }
 
     /// [`PureComm::send`] with a deadline: `Err(PureError::Timeout)` when
@@ -125,7 +116,7 @@ impl PureComm {
         let peer = self.meta.members[dst] as usize;
         // SAFETY: sender thread; buf valid for the duration of this call.
         if unsafe { ch.try_send_now(&self.local.ep, buf.as_ptr().cast(), bytes) } {
-            self.count_sent(bytes);
+            self.local.count_sent(bytes);
             return Ok(());
         }
         // SAFETY: as above — and on timeout the post is either withdrawn or
@@ -138,13 +129,13 @@ impl PureComm {
             });
         match waited {
             Ok(()) => {
-                self.count_sent(bytes);
+                self.local.count_sent(bytes);
                 Ok(())
             }
             Err(e) => match ch.try_cancel_send(seq) {
                 CancelOutcome::Canceled => Err(e),
                 CancelOutcome::Completed => {
-                    self.count_sent(bytes);
+                    self.local.count_sent(bytes);
                     Ok(())
                 }
                 CancelOutcome::InFlight => {
@@ -152,7 +143,7 @@ impl PureComm {
                         .ssw_op("send (unwithdrawable)", Some(peer), Some(tag), || {
                             ch.try_flush_sends(&self.local.ep, seq + 1).then_some(())
                         });
-                    self.count_sent(bytes);
+                    self.local.count_sent(bytes);
                     Ok(())
                 }
             },
@@ -195,7 +186,7 @@ impl PureComm {
                     .then_some(())
             });
         }
-        self.local.msgs_recvd.set(self.local.msgs_recvd.get() + 1);
+        self.local.count_recvd();
     }
 
     /// [`PureComm::recv`] with a deadline: `Err(PureError::Timeout)` when no
@@ -225,7 +216,7 @@ impl PureComm {
         let now = unsafe { ch.try_recv_now(&self.local.ep, buf.as_mut_ptr().cast(), bytes) }
             .unwrap_or_else(fail);
         if now {
-            self.local.msgs_recvd.set(self.local.msgs_recvd.get() + 1);
+            self.local.count_recvd();
             return Ok(());
         }
         // SAFETY: as above — on timeout the post is withdrawn or completed
@@ -240,13 +231,13 @@ impl PureComm {
             });
         match waited {
             Ok(()) => {
-                self.local.msgs_recvd.set(self.local.msgs_recvd.get() + 1);
+                self.local.count_recvd();
                 Ok(())
             }
             Err(e) => match ch.try_cancel_recv(seq) {
                 CancelOutcome::Canceled => Err(e),
                 CancelOutcome::Completed => {
-                    self.local.msgs_recvd.set(self.local.msgs_recvd.get() + 1);
+                    self.local.count_recvd();
                     Ok(())
                 }
                 // The sender claimed the envelope mid-copy: the transfer is
@@ -258,7 +249,7 @@ impl PureComm {
                                 .unwrap_or_else(fail)
                                 .then_some(())
                         });
-                    self.local.msgs_recvd.set(self.local.msgs_recvd.get() + 1);
+                    self.local.count_recvd();
                     Ok(())
                 }
             },
@@ -285,12 +276,11 @@ impl PureComm {
             // while this rank blocks elsewhere.
             self.local.note_pending_send(&ch);
         }
-        self.count_sent(bytes);
         Request {
             ch,
             local: Rc::clone(&self.local),
             upto: seq + 1,
-            kind: ReqKind::Send,
+            kind: ReqKind::Send { bytes },
             done: false,
             peer: self.meta.members[dst] as usize,
             tag,
@@ -319,7 +309,6 @@ impl PureComm {
         // SAFETY: receiver thread; Request's exclusive borrow keeps buf
         // alive and unaliased until completion.
         let seq = unsafe { ch.post_recv(buf.as_mut_ptr().cast(), bytes) };
-        self.local.msgs_recvd.set(self.local.msgs_recvd.get() + 1);
         Request {
             ch,
             local: Rc::clone(&self.local),
@@ -350,7 +339,10 @@ impl PureComm {
 }
 
 enum ReqKind {
-    Send,
+    /// A send of `bytes` payload bytes.
+    Send {
+        bytes: usize,
+    },
     Recv,
 }
 
@@ -373,7 +365,7 @@ pub struct Request<'a> {
 impl Request<'_> {
     fn poll(&self) -> bool {
         match self.kind {
-            ReqKind::Send => self.ch.try_flush_sends(&self.local.ep, self.upto),
+            ReqKind::Send { .. } => self.ch.try_flush_sends(&self.local.ep, self.upto),
             ReqKind::Recv => self
                 .ch
                 .try_complete_recvs(&self.local.ep, self.upto)
@@ -389,12 +381,23 @@ impl Request<'_> {
     /// coalescing goes out, exactly as in [`Request::wait`].
     pub fn test(&mut self) -> bool {
         if !self.done {
-            self.done = self.poll();
-            if !self.done {
+            if self.poll() {
+                self.complete();
+            } else {
                 self.local.ep.flush_sent();
             }
         }
         self.done
+    }
+
+    /// Mark the operation done and count its message in the rank's stats.
+    /// A withdrawn operation is marked done without this: it moved nothing.
+    fn complete(&mut self) {
+        self.done = true;
+        match self.kind {
+            ReqKind::Send { bytes } => self.local.count_sent(bytes),
+            ReqKind::Recv => self.local.count_recvd(),
+        }
     }
 
     /// Block (SSW-Loop) until the operation completes.
@@ -412,7 +415,7 @@ impl Request<'_> {
         }
         let ch = Arc::clone(&self.ch);
         let local = Rc::clone(&self.local);
-        let kind_send = matches!(self.kind, ReqKind::Send);
+        let kind_send = matches!(self.kind, ReqKind::Send { .. });
         let op = if kind_send {
             "isend wait"
         } else {
@@ -423,7 +426,7 @@ impl Request<'_> {
         });
         match waited {
             Ok(()) => {
-                self.done = true;
+                self.complete();
                 Ok(())
             }
             Err(e) => {
@@ -438,7 +441,7 @@ impl Request<'_> {
                         Err(e)
                     }
                     CancelOutcome::Completed => {
-                        self.done = true;
+                        self.complete();
                         Ok(())
                     }
                     // Unwithdrawable (older ops queued ahead, or a sender
@@ -462,7 +465,8 @@ impl Request<'_> {
             // panic here would abort the process. The run is already fatal.
             for _ in 0..1000 {
                 if self.poll() {
-                    break;
+                    self.complete();
+                    return;
                 }
                 std::thread::yield_now();
             }
@@ -471,13 +475,13 @@ impl Request<'_> {
         }
         let local = Rc::clone(&self.local);
         let op = match self.kind {
-            ReqKind::Send => "isend wait",
+            ReqKind::Send { .. } => "isend wait",
             ReqKind::Recv => "irecv wait",
         };
         local.ssw_op(op, Some(self.peer), Some(self.tag), || {
             self.poll().then_some(())
         });
-        self.done = true;
+        self.complete();
     }
 }
 

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::channel::{Channel, ChannelFactoryCfg, ChannelKey, ChannelTable};
-use crate::collectives::{ArrivalMode, CollArea};
+use crate::collectives::CollArea;
 use crate::comm::{CommMeta, PureComm, TagBaseAlloc};
 use crate::error::{payload_message, AbortCause, CrashStop, PeerAbortEcho, PureError, PureResult};
 use crate::task::scheduler::{ChunkMode, NodeScheduler, StealCtx, StealPolicy};
@@ -35,19 +35,6 @@ pub type Tag = u32;
 
 /// First runtime-internal tag; user tags must be below this.
 pub(crate) const INTERNAL_TAG_BASE: Tag = 0x8000_0000;
-
-/// Who drives the per-node internode progress engine (inbox drain, coalesce
-/// flush timers, reliable-sublayer ACKs and retransmits).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ProgressMode {
-    /// Every rank ticks the engine from its SSW-Loop polls — no extra
-    /// threads, matching the paper's "make waits productive" philosophy.
-    #[default]
-    Cooperative,
-    /// One dedicated thread per node owns the node's endpoint and polls the
-    /// engine until the ranks exit (an MPI-style async progress thread).
-    Helper,
-}
 
 /// What the runtime does when the failure detector condemns a peer node
 /// while this launch is running (requires [`netsim::DetectPlan`] armed via
@@ -106,9 +93,6 @@ pub struct Config {
     pub small_coll_max: usize,
     /// Message slots per PBQ.
     pub pbq_slots: usize,
-    /// PBQ cached-index fast path (§4.1.1 + Torquati TR-10-20); disable for
-    /// the cached-vs-uncached ablation.
-    pub pbq_cached_indices: bool,
     /// Envelope slots per rendezvous channel.
     pub env_slots: usize,
     /// SSW-Loop spins before yielding the core.
@@ -121,12 +105,9 @@ pub struct Config {
     pub helpers_per_node: usize,
     /// NUMA domains per node (victim-preference for NUMA-aware stealing).
     pub numa_domains_per_node: usize,
-    /// Collective arrival signalling (SPTD vs shared counter ablation).
-    pub arrival: ArrivalMode,
-    /// Simulated interconnect parameters.
+    /// Simulated interconnect parameters. Its progress engine is driven by
+    /// the ranks themselves, from their SSW-Loop waits.
     pub net: NetConfig,
-    /// Who drives the internode progress engine (see [`ProgressMode`]).
-    pub progress_mode: ProgressMode,
     /// Base seed for the steal RNGs.
     pub seed: u64,
     /// Global progress deadline: if any blocking wait makes no progress for
@@ -148,8 +129,7 @@ pub struct Config {
     pub finalize_linger: Duration,
     /// Runtime telemetry counters. On by default (an uncontended relaxed add
     /// per instrumented event); `false` leaves the thread-local sink
-    /// uninstalled so every bump is a null-check no-op. Compile the layer
-    /// out entirely with the `telemetry-off` cargo feature.
+    /// uninstalled so every bump is a null-check no-op.
     pub telemetry: bool,
     /// Per-rank ring-tracer capacity in events; `0` (the default) disables
     /// tracing. When enabled, `LaunchReport::stats.trace` holds each rank's
@@ -197,16 +177,13 @@ impl Config {
             small_msg_max: 8 * 1024,
             small_coll_max: 2 * 1024,
             pbq_slots: 8,
-            pbq_cached_indices: true,
             env_slots: 8,
             spin_budget: 64,
             chunk_mode: ChunkMode::SingleChunk,
             steal_policy: StealPolicy::Random,
             helpers_per_node: 0,
             numa_domains_per_node: 1,
-            arrival: ArrivalMode::Sptd,
             net: NetConfig::default(),
-            progress_mode: ProgressMode::default(),
             seed: 0x5EED,
             progress_deadline: None,
             rank_faults: RankFaults::default(),
@@ -246,12 +223,6 @@ impl Config {
     /// The configured raw transport backend.
     pub fn transport(&self) -> netsim::Backend {
         self.net.backend
-    }
-
-    /// Select who drives the internode progress engine.
-    pub fn with_progress_mode(mut self, mode: ProgressMode) -> Self {
-        self.progress_mode = mode;
-        self
     }
 
     /// Bound every blocking wait by `d` (see [`Config::progress_deadline`]).
@@ -689,9 +660,9 @@ pub(crate) struct RankLocal {
     pub collectives: Cell<u64>,
     /// Blocking operations completed (drives [`RankFaults`] injection).
     pub op_count: Cell<u64>,
-    /// True when this rank cooperatively ticks the net progress engine from
-    /// its SSW waits (coalescing, frame faults or failure detection armed,
-    /// cooperative mode, more than one node).
+    /// True when this rank ticks the net progress engine from its SSW waits
+    /// (coalescing, frame faults, failure detection or TCP armed, more than
+    /// one node).
     pub net_active: bool,
     /// SSW poll counter gating the cooperative net ticks.
     pub net_poll: Cell<u32>,
@@ -725,6 +696,19 @@ impl RankLocal {
         let ch = s.channels.get_or_create(key, &s.chan_cfg, sn, dn, sl, dl);
         self.chan_cache.borrow_mut().insert(key, Arc::clone(&ch));
         ch
+    }
+
+    /// Count one completed point-to-point send of `bytes` payload bytes.
+    pub(crate) fn count_sent(&self, bytes: usize) {
+        self.msgs_sent.set(self.msgs_sent.get() + 1);
+        self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
+        // Message-size histogram: feeds the auto-tuner's threshold picks.
+        crate::telemetry::count(crate::telemetry::msg_size_bucket(bytes));
+    }
+
+    /// Count one completed point-to-point receive.
+    pub(crate) fn count_recvd(&self) {
+        self.msgs_recvd.set(self.msgs_recvd.get() + 1);
     }
 
     /// Remember a channel with unfinished sends for background progress.
@@ -892,9 +876,9 @@ impl RankLocal {
     /// subframes on the wire, once they have lingered 20 µs
     /// ([`NodeEndpoint::flush_sent`]): a rank that has started waiting has
     /// nothing more to add to a coalescing batch, and the message it is
-    /// waiting for is often the reply to one sitting in that batch. This holds whatever the wait polls — an intra-node queue
-    /// after a cross-node `isend` included — and in both progress modes; a
-    /// rank with nothing buffered pays one relaxed load.
+    /// waiting for is often the reply to one sitting in that batch. This
+    /// holds whatever the wait polls, an intra-node queue after a cross-node
+    /// `isend` included; a rank with nothing buffered pays one relaxed load.
     pub(crate) fn ssw_wait<T>(
         &self,
         op: &'static str,
@@ -1314,7 +1298,6 @@ where
             small_msg_max: cfg.small_msg_max,
             pbq_slots: cfg.pbq_slots,
             env_slots: cfg.env_slots,
-            pbq_cached: cfg.pbq_cached_indices,
         },
         birth: Instant::now(),
         cluster: Cluster::new(n_nodes, cfg.net),
@@ -1344,7 +1327,6 @@ where
 
     let start = Instant::now();
     let watchdog_stop = AtomicBool::new(false);
-    let progress_stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let mut rank_handles = Vec::with_capacity(shared.cfg.ranks);
         for rank in 0..shared.cfg.ranks {
@@ -1370,7 +1352,6 @@ where
                     || shared.cfg.net.faults.is_some()
                     || detect_active
                     || shared.cfg.net.backend == netsim::Backend::Tcp)
-                    && shared.cfg.progress_mode == ProgressMode::Cooperative
                     && shared.cluster.len() > 1;
                 let local = Rc::new(RankLocal {
                     rank,
@@ -1475,31 +1456,6 @@ where
             })
         });
 
-        // Async progress engine, helper flavour: one spare thread per node
-        // owns the node's endpoint and polls it (drains inboxes, flushes
-        // aged coalesce buffers, runs reliable ACKs/retransmits) until the
-        // ranks exit — the MPI-style dedicated progress thread. In
-        // cooperative mode the same ticks run from every rank's SSW waits
-        // instead (see `RankLocal::ssw_wait`).
-        if shared.cfg.progress_mode == ProgressMode::Helper && shared.cluster.len() > 1 {
-            let stop = &progress_stop;
-            for node in 0..shared.cluster.len() {
-                let ep = shared.cluster.endpoint(node);
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        // Back off when a tick finds nothing: an idle phase
-                        // shouldn't burn a core (or, for real sockets, a
-                        // syscall) every 20µs just to learn it's still idle.
-                        let worked = ep.progress();
-                        std::thread::sleep(Duration::from_micros(if worked { 20 } else { 200 }));
-                    }
-                    // One last tick so anything the final rank flushed on
-                    // exit is scattered before the scope closes.
-                    ep.progress();
-                });
-            }
-        }
-
         // Helper threads: steal-only workers on spare "cores" (§5.1).
         let mut helper_handles = Vec::new();
         for (node, sched) in shared.scheds.iter().enumerate() {
@@ -1522,7 +1478,6 @@ where
         if let Some(w) = &watchdog {
             w.thread().unpark();
         }
-        progress_stop.store(true, Ordering::Release);
         for s in &shared.scheds {
             s.shutdown_helpers();
         }

@@ -22,10 +22,6 @@
 //!   array of `"X"`/`"i"` phases, one `tid` per rank), loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! Compile the whole layer out with the `telemetry-off` feature: the
-//! counting and tracing entry points become empty `#[inline(always)]`
-//! functions, so the hot paths carry no TLS access, no branch, no atomics.
-//!
 //! These counters deliberately use `std::sync::atomic` directly rather than
 //! the `interleave` facade: under `--features model` they are invisible to
 //! the model checker (atomic bumps cannot race and must not enlarge the
@@ -203,7 +199,6 @@ impl RankCounters {
     /// the registry alive in `Shared`). Public so external harnesses (model
     /// checker tests, micro-benchmarks) can route counts explicitly.
     pub fn install(&self) -> CounterGuard<'_> {
-        #[cfg(not(feature = "telemetry-off"))]
         TLS_COUNTERS.with(|t| t.set(self as *const RankCounters));
         CounterGuard { _block: self }
     }
@@ -224,7 +219,6 @@ pub struct CounterGuard<'a> {
 
 impl Drop for CounterGuard<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "telemetry-off"))]
         TLS_COUNTERS.with(|t| t.set(std::ptr::null()));
     }
 }
@@ -255,7 +249,6 @@ impl CounterSnapshot {
 // Thread-local plumbing (the hot-path entry points)
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "telemetry-off"))]
 thread_local! {
     static TLS_COUNTERS: StdCell<*const RankCounters> = const { StdCell::new(std::ptr::null()) };
     static TLS_TRACER: StdCell<*mut Tracer> = const { StdCell::new(std::ptr::null_mut()) };
@@ -263,7 +256,6 @@ thread_local! {
 
 /// Bump counter `c` on the calling thread's installed block, if any.
 /// Threads without a block (unit tests, helpers, the watchdog) drop counts.
-#[cfg(not(feature = "telemetry-off"))]
 #[inline]
 pub(crate) fn count(c: Counter) {
     count_by(c, 1);
@@ -271,7 +263,6 @@ pub(crate) fn count(c: Counter) {
 
 /// As [`count`], adding `n` in one atomic op (used by wait loops that
 /// accumulate locally and flush once).
-#[cfg(not(feature = "telemetry-off"))]
 #[inline]
 pub(crate) fn count_by(c: Counter, n: u64) {
     if n == 0 {
@@ -286,14 +277,6 @@ pub(crate) fn count_by(c: Counter, n: u64) {
         }
     });
 }
-
-#[cfg(feature = "telemetry-off")]
-#[inline(always)]
-pub(crate) fn count(_c: Counter) {}
-
-#[cfg(feature = "telemetry-off")]
-#[inline(always)]
-pub(crate) fn count_by(_c: Counter, _n: u64) {}
 
 // ---------------------------------------------------------------------------
 // Event tracer
@@ -424,7 +407,6 @@ impl Tracer {
 /// uninstalls on drop. The tracer must not be touched through other paths
 /// while installed (the rank thread owns it exclusively).
 pub(crate) fn install_tracer(tracer: &mut Tracer) -> TracerGuard<'_> {
-    #[cfg(not(feature = "telemetry-off"))]
     TLS_TRACER.with(|t| t.set(tracer as *mut Tracer));
     TracerGuard { _tracer: tracer }
 }
@@ -436,7 +418,6 @@ pub(crate) struct TracerGuard<'a> {
 
 impl Drop for TracerGuard<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "telemetry-off"))]
         TLS_TRACER.with(|t| t.set(std::ptr::null_mut()));
     }
 }
@@ -451,7 +432,6 @@ pub(crate) struct Span {
 }
 
 /// Open a span named `name` on the calling thread's tracer.
-#[cfg(not(feature = "telemetry-off"))]
 #[inline]
 pub(crate) fn span(name: &'static str) -> Span {
     let start = TLS_TRACER.with(|t| {
@@ -470,19 +450,9 @@ pub(crate) fn span(name: &'static str) -> Span {
     }
 }
 
-#[cfg(feature = "telemetry-off")]
-#[inline(always)]
-pub(crate) fn span(name: &'static str) -> Span {
-    Span {
-        name,
-        start_ns: u64::MAX,
-    }
-}
-
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(not(feature = "telemetry-off"))]
         if self.start_ns != u64::MAX {
             TLS_TRACER.with(|t| {
                 let p = t.get();
@@ -496,7 +466,6 @@ impl Drop for Span {
 }
 
 /// Record an instant event on the calling thread's tracer, if any.
-#[cfg(not(feature = "telemetry-off"))]
 #[inline]
 pub(crate) fn instant(name: &'static str) {
     TLS_TRACER.with(|t| {
@@ -507,10 +476,6 @@ pub(crate) fn instant(name: &'static str) {
         }
     });
 }
-
-#[cfg(feature = "telemetry-off")]
-#[inline(always)]
-pub(crate) fn instant(_name: &'static str) {}
 
 // ---------------------------------------------------------------------------
 // The launch-level report
@@ -537,7 +502,7 @@ pub struct RuntimeStats {
     pub net_coalesce_flushes: u64,
     /// ACK frames *saved* by batching (frames covered beyond one per ACK).
     pub net_acks_batched: u64,
-    /// Progress-engine polls (cooperative SSW ticks plus helper-thread loops).
+    /// Progress-engine polls (ticks from ranks' SSW waits and exit drains).
     pub net_progress_polls: u64,
     /// Failure-detector heartbeat frames sent (idle-link liveness).
     pub net_heartbeats: u64,
@@ -737,12 +702,7 @@ mod tests {
             count_by(Counter::PbqEnq, 2);
         }
         count(Counter::PbqEnq); // uninstalled again: dropped
-        let expect = if cfg!(feature = "telemetry-off") {
-            0
-        } else {
-            3
-        };
-        assert_eq!(b.snapshot().get(Counter::PbqEnq), expect);
+        assert_eq!(b.snapshot().get(Counter::PbqEnq), 3);
     }
 
     #[test]
@@ -812,15 +772,11 @@ mod tests {
             }
             instant("tick");
         }
-        if cfg!(feature = "telemetry-off") {
-            assert!(t.is_empty());
-        } else {
-            let evs = t.events_in_order();
-            assert_eq!(evs.len(), 2);
-            assert_eq!(evs[0].name, "op");
-            assert_eq!(evs[0].kind, EventKind::Span);
-            assert_eq!(evs[1].name, "tick");
-            assert_eq!(evs[1].kind, EventKind::Instant);
-        }
+        let evs = t.events_in_order();
+        assert_eq!(evs.len(), 2);
+        assert_eq!(evs[0].name, "op");
+        assert_eq!(evs[0].kind, EventKind::Span);
+        assert_eq!(evs[1].name, "tick");
+        assert_eq!(evs[1].kind, EventKind::Instant);
     }
 }

@@ -50,7 +50,9 @@
 //! * One rank per core (the default) — Pure's flat namespace means no
 //!   `OMP_NUM_THREADS`-style tuning. If ranks are fewer than cores, turn the
 //!   spare cores into helper threads ([`crate::Config::helpers_per_node`]),
-//!   as the paper did for DT class A.
+//!   as the paper did for DT class A. Helpers only steal task chunks; no
+//!   thread is set aside for network progress, because blocked ranks drive
+//!   it from their SSW-Loop waits.
 //! * Leave protocol thresholds at their defaults first
 //!   ([`crate::Config::small_msg_max`] = 8 KiB,
 //!   [`crate::Config::small_coll_max`] = 2 KiB); they are behaviour-
@@ -90,7 +92,8 @@
 //!   and retry policies. Only the *newest* posted operation on a channel
 //!   can be withdrawn (MPI ordering would otherwise be violated); a
 //!   timeout that catches an older or mid-copy operation finishes it and
-//!   returns `Ok`.
+//!   returns `Ok`. A withdrawn operation moved nothing, so it is not
+//!   counted in the launch report's per-rank message statistics.
 //!
 //! * **Launch deadline** — `Config::with_deadline(d)` arms a per-operation
 //!   progress deadline on every blocking wait plus a watchdog backstop at

@@ -9,7 +9,7 @@
 //! program below would hang on the timer without the flush-when-blocked
 //! rule; the launch deadline turns such a hang into a failure. Nothing
 //! asserts on wall-clock time. Every case runs over the simulated fabric
-//! and real TCP loopback sockets, in both progress modes.
+//! and real TCP loopback sockets.
 
 use std::time::Duration;
 
@@ -34,7 +34,7 @@ enum Wire {
     Full,
 }
 
-fn cfg(ranks: usize, rpn: usize, backend: Backend, mode: ProgressMode, wire: Wire) -> Config {
+fn cfg(ranks: usize, rpn: usize, backend: Backend, wire: Wire) -> Config {
     // The default plan's count and size watermarks, with the age watermark
     // out of reach.
     let mut net = NetConfig::default()
@@ -51,25 +51,22 @@ fn cfg(ranks: usize, rpn: usize, backend: Backend, mode: ProgressMode, wire: Wir
     let mut c = Config::new(ranks)
         .with_ranks_per_node(rpn)
         .with_net(net)
-        .with_progress_mode(mode)
         .with_deadline(Duration::from_secs(20));
     c.spin_budget = 16;
     c
 }
 
-/// Run `program` on every backend × progress mode × wire stack.
+/// Run `program` on every backend × wire stack.
 fn on_every_stack(ranks: usize, rpn: usize, program: impl Fn(&RankCtx) + Sync) {
     for backend in [Backend::Sim, Backend::Tcp] {
-        for mode in [ProgressMode::Cooperative, ProgressMode::Helper] {
-            for wire in [Wire::Coalesce, Wire::Full] {
-                let report = launch(cfg(ranks, rpn, backend, mode, wire), |ctx| program(ctx));
-                let s = &report.stats;
-                assert_eq!(
-                    s.pool_hits + s.pool_misses,
-                    s.pool_recycled + s.pool_freed,
-                    "{backend:?} {mode:?}: pooled slabs must balance at teardown"
-                );
-            }
+        for wire in [Wire::Coalesce, Wire::Full] {
+            let report = launch(cfg(ranks, rpn, backend, wire), |ctx| program(ctx));
+            let s = &report.stats;
+            assert_eq!(
+                s.pool_hits + s.pool_misses,
+                s.pool_recycled + s.pool_freed,
+                "{backend:?}: pooled slabs must balance at teardown"
+            );
         }
     }
 }
@@ -179,37 +176,35 @@ fn intra_node_wait_flushes_an_earlier_cross_node_isend() {
 #[test]
 fn a_burst_stays_packed_while_a_neighbour_rank_blocks() {
     for backend in [Backend::Sim, Backend::Tcp] {
-        for mode in [ProgressMode::Cooperative, ProgressMode::Helper] {
-            let report = launch(cfg(3, 2, backend, mode, Wire::Coalesce), |ctx| {
-                let w = ctx.world();
-                let mut word = [0u64];
-                match w.rank() {
-                    0 => {
-                        w.recv(&mut word, 1, 9);
-                        assert_eq!(word[0], 64);
-                    }
-                    1 => {
-                        for i in 0..64u64 {
-                            w.send(&[i], 2, 1);
-                        }
-                        w.recv(&mut word, 2, 2);
-                        w.send(&[word[0]], 0, 9);
-                    }
-                    _ => {
-                        for i in 0..64u64 {
-                            w.recv(&mut word, 1, 1);
-                            assert_eq!(word[0], i);
-                        }
-                        w.send(&[64], 1, 2);
-                    }
+        let report = launch(cfg(3, 2, backend, Wire::Coalesce), |ctx| {
+            let w = ctx.world();
+            let mut word = [0u64];
+            match w.rank() {
+                0 => {
+                    w.recv(&mut word, 1, 9);
+                    assert_eq!(word[0], 64);
                 }
-            });
-            let s = &report.stats;
-            assert_eq!(
-                (s.net_coalesced, s.net_coalesce_flushes),
-                (65, 9),
-                "{backend:?} {mode:?}: 8 full jumbos + 1 lone ack"
-            );
-        }
+                1 => {
+                    for i in 0..64u64 {
+                        w.send(&[i], 2, 1);
+                    }
+                    w.recv(&mut word, 2, 2);
+                    w.send(&[word[0]], 0, 9);
+                }
+                _ => {
+                    for i in 0..64u64 {
+                        w.recv(&mut word, 1, 1);
+                        assert_eq!(word[0], i);
+                    }
+                    w.send(&[64], 1, 2);
+                }
+            }
+        });
+        let s = &report.stats;
+        assert_eq!(
+            (s.net_coalesced, s.net_coalesce_flushes),
+            (65, 9),
+            "{backend:?}: 8 full jumbos + 1 lone ack"
+        );
     }
 }

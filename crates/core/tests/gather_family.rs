@@ -221,10 +221,8 @@ fn wtime_is_monotone_and_shared_epoch() {
 }
 
 #[test]
-fn gather_family_in_shared_counter_mode() {
-    let mut c = cfg(4).with_ranks_per_node(2);
-    c.arrival = ArrivalMode::SharedCounter;
-    launch(c, |ctx| {
+fn gather_family_on_two_node_groups() {
+    launch(cfg(4).with_ranks_per_node(2), |ctx| {
         let w = ctx.world();
         let me = ctx.rank() as u64;
         let mut all = vec![0u64; 4];

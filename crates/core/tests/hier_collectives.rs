@@ -1,6 +1,6 @@
 //! Hierarchical collectives on the real runtime: every inter-node tree
 //! shape (k-ary fan-ins, the ring, the auto-tuner) over multi-node
-//! layouts, in both progress modes, verifying collective results and the
+//! layouts, verifying collective results and the
 //! hierarchy telemetry. Honors `PURE_BACKEND=tcp` so the CI
 //! collective-sweep matrix replays the suite over real loopback sockets.
 
@@ -10,13 +10,12 @@ const RANKS: usize = 6;
 
 type Configure = fn(Config) -> Config;
 
-fn cfg(rpn: usize, mode: ProgressMode, configure: Configure) -> Config {
+fn cfg(rpn: usize, configure: Configure) -> Config {
     let mut c = configure(
         Config::new(RANKS)
             .with_ranks_per_node(rpn)
             .with_transport(Backend::from_env()),
     );
-    c.progress_mode = mode;
     c.spin_budget = 16;
     c
 }
@@ -67,7 +66,7 @@ fn hier_workload(ctx: &RankCtx) {
     }
 }
 
-/// Every static tree shape × both progress modes × two layouts (6 leaders
+/// Every static tree shape × two layouts (6 leaders
 /// deep trees, and 3 nodes of 2). The hierarchy telemetry must show the
 /// tree actually ran: nonzero inter-node rounds and a nonzero fan-in sum.
 #[test]
@@ -77,21 +76,19 @@ fn static_tree_shapes_compute_correct_results_on_all_layouts() {
         ("kary3", |c| c.with_collective_fanin(3)),
         ("ring", |c| c.with_collective_ring()),
     ];
-    for mode in [ProgressMode::Cooperative, ProgressMode::Helper] {
-        for rpn in [1usize, 2] {
-            for (label, configure) in shapes {
-                let report = launch(cfg(rpn, mode, configure), |ctx| hier_workload(ctx));
-                let rounds = report.stats.total(Counter::CollTreeRounds);
-                let fanin = report.stats.total(Counter::CollFaninChosen);
-                assert!(
-                    rounds > 0,
-                    "{label} rpn={rpn} {mode:?}: no hierarchical rounds recorded"
-                );
-                assert!(
-                    fanin > 0,
-                    "{label} rpn={rpn} {mode:?}: no fan-in recorded over {rounds} rounds"
-                );
-            }
+    for rpn in [1usize, 2] {
+        for (label, configure) in shapes {
+            let report = launch(cfg(rpn, configure), |ctx| hier_workload(ctx));
+            let rounds = report.stats.total(Counter::CollTreeRounds);
+            let fanin = report.stats.total(Counter::CollFaninChosen);
+            assert!(
+                rounds > 0,
+                "{label} rpn={rpn}: no hierarchical rounds recorded"
+            );
+            assert!(
+                fanin > 0,
+                "{label} rpn={rpn}: no fan-in recorded over {rounds} rounds"
+            );
         }
     }
 }
@@ -102,26 +99,21 @@ fn static_tree_shapes_compute_correct_results_on_all_layouts() {
 /// pure function of (node count, payload bytes), so all leaders agree.
 #[test]
 fn autotuner_flips_algorithms_across_the_size_crossover() {
-    let report = launch(
-        cfg(2, ProgressMode::Cooperative, |c| {
-            c.with_collective_autotune()
-        }),
-        |ctx| {
-            let w = ctx.world();
-            let me = w.rank();
-            let n = w.size();
-            for _ in 0..2 {
-                // 8 B: the model picks a k-ary tree at 3 nodes.
-                let sum = w.allreduce_one((me + 1) as u64, ReduceOp::Sum);
-                assert_eq!(sum, (n * (n + 1) / 2) as u64);
-                // 512 KiB: bandwidth-dominated, the model picks the ring.
-                let big = vec![me as u64 + 1; 1 << 16];
-                let mut out = vec![0u64; 1 << 16];
-                w.allreduce(&big, &mut out, ReduceOp::Max);
-                assert!(out.iter().all(|&v| v == n as u64), "large all-reduce");
-            }
-        },
-    );
+    let report = launch(cfg(2, |c| c.with_collective_autotune()), |ctx| {
+        let w = ctx.world();
+        let me = w.rank();
+        let n = w.size();
+        for _ in 0..2 {
+            // 8 B: the model picks a k-ary tree at 3 nodes.
+            let sum = w.allreduce_one((me + 1) as u64, ReduceOp::Sum);
+            assert_eq!(sum, (n * (n + 1) / 2) as u64);
+            // 512 KiB: bandwidth-dominated, the model picks the ring.
+            let big = vec![me as u64 + 1; 1 << 16];
+            let mut out = vec![0u64; 1 << 16];
+            w.allreduce(&big, &mut out, ReduceOp::Max);
+            assert!(out.iter().all(|&v| v == n as u64), "large all-reduce");
+        }
+    });
     let flips = report.stats.total(Counter::TunerAdjustments);
     assert!(
         flips >= 2,

@@ -46,9 +46,9 @@ fn assert_clean(report: &Report, floor: u64) {
 // PBQ: no lost, duplicated, torn, or reordered messages
 // ---------------------------------------------------------------------------
 
-fn pbq_transfer(cached: bool, n_slots: usize, msgs: u8) -> Report {
+fn pbq_transfer(n_slots: usize, msgs: u8) -> Report {
     check(opts(6_000, 1_500), move || {
-        let q = Arc::new(PureBufferQueue::new_with_mode(n_slots, 8, cached));
+        let q = Arc::new(PureBufferQueue::new(n_slots, 8));
         let producer = Arc::clone(&q);
         let t = thread::spawn(move || {
             let mut sent = 0u8;
@@ -92,12 +92,7 @@ fn pbq_transfer(cached: bool, n_slots: usize, msgs: u8) -> Report {
 fn pbq_cached_index_transfer_is_sound() {
     // 2 slots, 3 messages: exercises full-queue backpressure and slot reuse
     // (the cached-index fast path from PR 1).
-    assert_clean(&pbq_transfer(true, 2, 3), 1_500);
-}
-
-#[test]
-fn pbq_uncached_ablation_transfer_is_sound() {
-    assert_clean(&pbq_transfer(false, 2, 3), 1_500);
+    assert_clean(&pbq_transfer(2, 3), 1_500);
 }
 
 #[test]

@@ -138,6 +138,42 @@ fn wait_timeout_withdraws_an_irecv() {
     });
 }
 
+/// A request withdrawn by `wait_timeout` moved no message, so the launch
+/// report counts none: a 64 KiB `isend` nobody receives and an `irecv`
+/// nobody sends to leave every per-rank message counter, and the
+/// message-size histogram, at zero.
+#[test]
+fn withdrawn_requests_count_no_message() {
+    let report = launch(cfg(2), |ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 0 {
+            let big = vec![7u8; 64 * 1024];
+            let err = w
+                .isend(&big, 1, 11)
+                .wait_timeout(Duration::from_millis(30))
+                .expect_err("nobody receives: the isend must be withdrawn");
+            assert!(err.is_timeout(), "wrong error: {err}");
+            let mut small = [0u64];
+            let err = w
+                .irecv(&mut small, 1, 12)
+                .wait_timeout(Duration::from_millis(30))
+                .expect_err("nobody sends: the irecv must be withdrawn");
+            assert!(err.is_timeout(), "wrong error: {err}");
+        }
+        w.barrier();
+    });
+    for (rank, s) in report.per_rank.iter().enumerate() {
+        assert_eq!(
+            (s.msgs_sent, s.bytes_sent, s.msgs_recvd),
+            (0, 0, 0),
+            "rank {rank} counted a withdrawn message"
+        );
+    }
+    for &bucket in &pure_core::telemetry::MSG_SIZE_BUCKETS {
+        assert_eq!(report.stats.total(bucket), 0, "{bucket:?} counted");
+    }
+}
+
 #[test]
 fn global_deadline_aborts_a_stuck_launch() {
     let res = std::panic::catch_unwind(|| {

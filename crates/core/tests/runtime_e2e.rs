@@ -422,14 +422,14 @@ fn guided_mode_and_policies_complete() {
 }
 
 #[test]
-fn shared_counter_arrival_mode_works() {
-    let mut c = cfg(4);
-    c.arrival = ArrivalMode::SharedCounter;
-    launch(c, |ctx| {
+fn allreduce_and_barrier_alternate_on_sptd_arrival() {
+    // Allreduce and barrier share the collective area's pairwise SPTD
+    // sequence numbers: alternating them must keep every round in step.
+    launch(cfg(4), |ctx| {
         let w = ctx.world();
-        for _ in 0..10 {
-            let s = w.allreduce_one(ctx.rank() as u64, ReduceOp::Sum);
-            assert_eq!(s, 6);
+        for round in 0..10u64 {
+            let s = w.allreduce_one(ctx.rank() as u64 + round, ReduceOp::Sum);
+            assert_eq!(s, 6 + 4 * round);
             w.barrier();
         }
     });
@@ -503,6 +503,46 @@ fn stats_count_messages() {
     assert_eq!(report.per_rank[0].msgs_sent, 2);
     assert_eq!(report.per_rank[0].bytes_sent, 150);
     assert_eq!(report.per_rank[1].msgs_recvd, 2);
+}
+
+#[test]
+fn stats_count_each_completed_request_once() {
+    // Nonblocking operations count when they complete, whichever call
+    // completes them: wait, test (then wait), wait_timeout, or drop.
+    let report = launch(cfg(2), |ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 0 {
+            let (a, b, c, d) = ([1u8; 100], [2u8; 50], [3u8; 8], [4u8; 2]);
+            w.isend(&a, 1, 0).wait();
+            let mut req = w.isend(&b, 1, 1);
+            while !req.test() {
+                std::thread::yield_now();
+            }
+            req.wait();
+            w.isend(&c, 1, 2)
+                .wait_timeout(std::time::Duration::from_secs(10))
+                .expect("the receiver is posted: the isend completes");
+            drop(w.isend(&d, 1, 3));
+        } else {
+            let (mut a, mut b, mut c, mut d) = ([0u8; 100], [0u8; 50], [0u8; 8], [0u8; 2]);
+            w.irecv(&mut a, 0, 0).wait();
+            let mut req = w.irecv(&mut b, 0, 1);
+            while !req.test() {
+                std::thread::yield_now();
+            }
+            req.wait();
+            w.irecv(&mut c, 0, 2)
+                .wait_timeout(std::time::Duration::from_secs(10))
+                .expect("the sender is posted: the irecv completes");
+            drop(w.irecv(&mut d, 0, 3));
+            assert_eq!((a[0], b[0], c[0], d[0]), (1, 2, 3, 4));
+        }
+    });
+    assert_eq!(report.per_rank[0].msgs_sent, 4);
+    assert_eq!(report.per_rank[0].bytes_sent, 160);
+    assert_eq!(report.per_rank[0].msgs_recvd, 0);
+    assert_eq!(report.per_rank[1].msgs_sent, 0);
+    assert_eq!(report.per_rank[1].msgs_recvd, 4);
 }
 
 #[test]

@@ -294,8 +294,8 @@ fn four_rank_launch_reports_nonzero_counters() {
     assert!(s.summary().contains("pbq_enq"));
 }
 
-/// `Config::telemetry = false` leaves every counter zero (runtime opt-out,
-/// the same observable behaviour as the `telemetry-off` feature).
+/// `Config::telemetry = false` leaves every counter zero: the runtime's one
+/// telemetry off switch.
 #[test]
 fn telemetry_opt_out_reports_all_zero() {
     let cfg = Config::new(2).with_telemetry(false);

@@ -194,7 +194,7 @@ impl ArrivalSet {
 #[derive(Debug, Default)]
 pub struct PumpOutcome {
     /// True when the tick moved anything: bytes flushed or read, frames
-    /// made matchable. Cooperative-mode callers use this to back off.
+    /// made matchable. Callers polling from a wait use this to back off.
     pub did_work: bool,
     /// Distinct source nodes that had frames arrive this tick. Fenced
     /// (condemned-peer) frames are counted too — an arrival is liveness
@@ -457,8 +457,8 @@ pub struct NetStats {
     /// ACK frames avoided by cumulative-ACK batching (frames covered by an
     /// ACK beyond the first).
     pub acks_batched: AtomicU64,
-    /// Progress-engine polls (cooperative SSW ticks, helper-thread loops,
-    /// and receive-miss polls).
+    /// Progress-engine polls (ticks from blocked ranks' waits and exit
+    /// drains, and receive-miss polls).
     pub progress_polls: AtomicU64,
     /// Backend pumps ([`Transport::pump`] calls). A progress tick pumps
     /// exactly once, so on live nodes this equals `progress_polls`; more
@@ -1037,8 +1037,8 @@ impl NodeEndpoint {
     /// free lists as leaves.
     ///
     /// Returns whether the tick did any work — frames moved, buffers
-    /// flushed, retransmits or ACKs or heartbeats sent. Cooperative-mode
-    /// callers use a `false` streak to back off instead of busy-spinning
+    /// flushed, retransmits or ACKs or heartbeats sent. Callers polling
+    /// from a wait use a `false` streak to back off instead of busy-spinning
     /// on an idle backend.
     pub fn progress(&self) -> bool {
         self.stats.progress_polls.fetch_add(1, Ordering::Relaxed);

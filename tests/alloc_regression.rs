@@ -72,27 +72,22 @@ fn quietest_window(mut window: impl FnMut()) -> u64 {
 
 #[test]
 fn pbq_single_send_recv_steady_state_is_allocation_free() {
-    for cached in [true, false] {
-        let q = PureBufferQueue::new_with_mode(8, 256, cached);
-        let payload = [0x5au8; 64];
-        let mut out = [0u8; 256];
-        // Warm up (first traversal of the ring touches nothing heap-side
-        // either, but keep the measured window unambiguous).
-        for _ in 0..32 {
-            assert!(q.try_send(&payload));
-            assert_eq!(q.try_recv(&mut out), Some(64));
-        }
-        let before = alloc_count();
-        for _ in 0..10_000 {
-            assert!(q.try_send(&payload));
-            assert_eq!(q.try_recv(&mut out), Some(64));
-        }
-        let delta = alloc_count() - before;
-        assert_eq!(
-            delta, 0,
-            "cached={cached}: {delta} allocations in 10k send/recv pairs"
-        );
+    let q = PureBufferQueue::new(8, 256);
+    let payload = [0x5au8; 64];
+    let mut out = [0u8; 256];
+    // Warm up (first traversal of the ring touches nothing heap-side
+    // either, but keep the measured window unambiguous).
+    for _ in 0..32 {
+        assert!(q.try_send(&payload));
+        assert_eq!(q.try_recv(&mut out), Some(64));
     }
+    let before = alloc_count();
+    for _ in 0..10_000 {
+        assert!(q.try_send(&payload));
+        assert_eq!(q.try_recv(&mut out), Some(64));
+    }
+    let delta = alloc_count() - before;
+    assert_eq!(delta, 0, "{delta} allocations in 10k send/recv pairs");
 }
 
 #[test]

@@ -48,8 +48,8 @@ proptest! {
         prop_assert_eq!(q.try_recv(&mut out), None);
     }
 
-    /// PBQ: arbitrary interleavings of single and batched sends/recvs, in
-    /// both index modes, preserve FIFO byte-exactness and report exact
+    /// PBQ: arbitrary interleavings of single and batched sends/recvs
+    /// preserve FIFO byte-exactness and report exact
     /// full/empty boundaries (no spurious failures from stale caches). The
     /// plan repeatedly wraps small rings, so the monotonic indices cross the
     /// ring seam many times with caches in every staleness state.
@@ -57,10 +57,9 @@ proptest! {
     fn pbq_batched_interleavings_preserve_fifo(
         plan in pvec((0usize..4, 1usize..6), 1..80),
         slots in 1usize..16,
-        cached in any::<bool>(),
     ) {
         let cap = 96usize;
-        let q = PureBufferQueue::new_with_mode(slots, cap, cached);
+        let q = PureBufferQueue::new(slots, cap);
         let slots = q.slots(); // requested count rounds up to a power of two
         let mut out = vec![0u8; cap];
         let mut next_id = 0u64;

@@ -198,35 +198,30 @@ fn zero_length_payloads() {
 }
 
 /// Gather-family soak on an oversubscribed multi-node topology: hundreds of
-/// rounds cycling every collective, with the shared-counter arrival mode on
-/// odd rounds of the outer loop.
+/// rounds cycling every collective.
 #[test]
 fn collective_families_soak() {
-    for (round, arrival) in [(0, ArrivalMode::Sptd), (1, ArrivalMode::SharedCounter)] {
-        let mut cfg = pure_cfg(6).with_ranks_per_node(2);
-        cfg.arrival = arrival;
-        launch(cfg, move |ctx| {
-            let w = ctx.world();
-            let me = ctx.rank() as u64;
-            for i in 0..60u64 {
-                let mut all = vec![0u64; 6];
-                w.allgather(&[me + i], &mut all);
-                assert_eq!(all, (0..6).map(|r| r as u64 + i).collect::<Vec<_>>());
-                let mut pref = [0u64];
-                w.scan(&[1], &mut pref, ReduceOp::Sum);
-                assert_eq!(pref[0], me + 1);
-                let root = (i % 6) as usize;
-                let mut blocks = [0u64; 2];
-                if ctx.rank() == root {
-                    let send: Vec<u64> = (0..12).map(|k| i * 100 + k).collect();
-                    w.scatter(Some(&send), &mut blocks, root);
-                } else {
-                    w.scatter(None, &mut blocks, root);
-                }
-                assert_eq!(blocks[0], i * 100 + 2 * me);
-                let bits = w.allreduce_one(1u64 << me, ReduceOp::BitOr);
-                assert_eq!(bits, 0b111111, "round {round} iter {i}");
+    launch(pure_cfg(6).with_ranks_per_node(2), move |ctx| {
+        let w = ctx.world();
+        let me = ctx.rank() as u64;
+        for i in 0..120u64 {
+            let mut all = vec![0u64; 6];
+            w.allgather(&[me + i], &mut all);
+            assert_eq!(all, (0..6).map(|r| r as u64 + i).collect::<Vec<_>>());
+            let mut pref = [0u64];
+            w.scan(&[1], &mut pref, ReduceOp::Sum);
+            assert_eq!(pref[0], me + 1);
+            let root = (i % 6) as usize;
+            let mut blocks = [0u64; 2];
+            if ctx.rank() == root {
+                let send: Vec<u64> = (0..12).map(|k| i * 100 + k).collect();
+                w.scatter(Some(&send), &mut blocks, root);
+            } else {
+                w.scatter(None, &mut blocks, root);
             }
-        });
-    }
+            assert_eq!(blocks[0], i * 100 + 2 * me);
+            let bits = w.allreduce_one(1u64 << me, ReduceOp::BitOr);
+            assert_eq!(bits, 0b111111, "iter {i}");
+        }
+    });
 }
