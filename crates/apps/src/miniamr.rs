@@ -609,9 +609,9 @@ fn halo_exchange<C: Communicator>(
         .collect();
     {
         // Build all outgoing payloads first so the non-blocking sends can
-        // borrow them, then poll sends and receives together: with bounded
-        // lock-free queues, waiting on receives while sends sit undrained
-        // (or vice versa) deadlocks — see `pure_core::wait_all_poll`.
+        // borrow them, then complete sends and receives together: with
+        // bounded lock-free queues, waiting on receives while sends sit
+        // undrained (or vice versa) deadlocks — see `CommRequest::wait_all`.
         let send_payloads: Vec<Vec<f64>> = send_pairs
             .iter()
             .map(|pr| {
@@ -627,7 +627,7 @@ fn halo_exchange<C: Communicator>(
             .collect();
         // One tag per (face, payload size): a fine source sends a quarter
         // face. Cross-node wire tags do not carry the byte count, and the
-        // round-robin polling below completes receives in no fixed order,
+        // batch wait below completes receives in no fixed order,
         // so two sizes under one tag could hand a full-face frame to a
         // quarter-face receive.
         let tag = |pr: &Pair| pr.face as u32 * 2 + u32::from(pr.src.level > pr.dst.level);
@@ -640,7 +640,7 @@ fn halo_exchange<C: Communicator>(
             let dst_owner = mesh.owner(pr.dst, ranks);
             reqs.push(comm.isend(payload, dst_owner, tag(pr)));
         }
-        pure_core::wait_all_poll(reqs);
+        pure_core::wait_all(reqs);
     }
     for (pr, buf) in recv_pairs.iter().zip(recv_bufs.iter()) {
         let q = if pr.src.level > pr.dst.level {
@@ -767,7 +767,7 @@ fn remesh<C: Communicator>(
             SrcKind::FromChildren(ch) => ch.into_iter().for_each(send_src),
         }
     }
-    pure_core::wait_all_poll(reqs);
+    pure_core::wait_all(reqs);
 
     // Assemble new blocks.
     let mut new_blocks: HashMap<BlockId, Block> = HashMap::new();

@@ -347,6 +347,25 @@ impl CommRequest for MpiRequest<'_> {
         }
         done
     }
+
+    /// The default round-robin sweep, plus the abort check every baseline
+    /// wait makes, so a peer's panic unwinds this rank instead of hanging
+    /// it. `test` itself stays panic-free: `Drop` calls it while unwinding.
+    fn wait_all(mut reqs: Vec<Self>) {
+        loop {
+            reqs.retain_mut(|r| !r.test());
+            // Every request left is incomplete, so it holds its communicator.
+            match reqs.first().and_then(|r| r.inner.as_ref()) {
+                Some(
+                    ReqInner::LocalSend { comm, .. }
+                    | ReqInner::LocalRecv { comm, .. }
+                    | ReqInner::RemoteRecv { comm, .. },
+                ) => comm.local.shared.check_abort(),
+                _ => return,
+            }
+            std::thread::yield_now();
+        }
+    }
 }
 
 impl<'a> MpiRequest<'a> {

@@ -167,6 +167,38 @@ fn rank_panic_propagates() {
     assert!(res.is_err());
 }
 
+/// The baseline's batch wait checks the abort flag like every other
+/// baseline wait: a peer's panic unwinds rank 0 out of `wait_all` and
+/// `mpi_launch` re-raises it. Guarded, so a hang fails the test instead of
+/// the suite.
+#[test]
+fn rank_panic_unwinds_wait_all() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let res = std::panic::catch_unwind(|| {
+            mpi_launch(MpiConfig::new(2), |ctx| {
+                if ctx.rank() == 1 {
+                    panic!("boom in rank one");
+                }
+                let mut b = [0u8];
+                wait_all(vec![ctx.world().irecv(&mut b, 1, 0)]);
+            });
+        });
+        let _ = tx.send(
+            res.err()
+                .and_then(|e| e.downcast::<&str>().ok().map(|s| *s)),
+        );
+    });
+    let msg = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("still hung after 10 s");
+    assert_eq!(
+        msg,
+        Some("boom in rank one"),
+        "the peer's panic was not re-raised"
+    );
+}
+
 #[test]
 fn gather_family_on_baseline() {
     mpi_launch(MpiConfig::new(4).with_ranks_per_node(2), |ctx| {

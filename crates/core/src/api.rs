@@ -22,6 +22,32 @@ pub trait CommRequest {
     fn wait(self);
     /// Poll for completion.
     fn test(&mut self) -> bool;
+
+    /// Complete a batch of requests (like `MPI_Waitall`), making progress
+    /// on *every* one while any is incomplete — required when a rank has
+    /// both outstanding sends (possibly deferred on a full queue) and
+    /// receives whose peers are symmetrically blocked, where waiting the
+    /// requests one by one could deadlock. The default polls them
+    /// round-robin and yields between sweeps; a runtime overrides it with
+    /// its own blocking wait. Call it through [`wait_all`].
+    fn wait_all(mut reqs: Vec<Self>)
+    where
+        Self: Sized,
+    {
+        loop {
+            reqs.retain_mut(|r| !r.test());
+            if reqs.is_empty() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Complete every request of a batch: [`CommRequest::wait_all`] on
+/// whatever runtime issued them.
+pub fn wait_all<R: CommRequest>(reqs: impl IntoIterator<Item = R>) {
+    R::wait_all(reqs.into_iter().collect())
 }
 
 /// The common surface of the Pure runtime and the MPI baseline.
@@ -183,37 +209,6 @@ pub trait Communicator: Sized {
     /// (lets apps skip atomic-ification when running on a serial baseline).
     fn tasks_parallel(&self) -> bool {
         false
-    }
-}
-
-/// Complete a mixed batch of requests by polling them round-robin.
-///
-/// Unlike waiting requests one by one, this makes progress on *every*
-/// channel while any request is incomplete — required when a rank has both
-/// outstanding sends (possibly deferred on a full queue) and receives whose
-/// peers are symmetrically blocked. This is the application-level analogue
-/// of an MPI progress engine's `MPI_Waitall`.
-pub fn wait_all_poll<R: CommRequest>(mut reqs: Vec<R>) {
-    loop {
-        let mut all = true;
-        for r in reqs.iter_mut() {
-            if !r.test() {
-                all = false;
-            }
-        }
-        if all {
-            return; // drops are no-ops: everything tested complete
-        }
-        std::thread::yield_now();
-    }
-}
-
-impl CommRequest for crate::msg::Request<'_> {
-    fn wait(self) {
-        crate::msg::Request::wait(self)
-    }
-    fn test(&mut self) -> bool {
-        crate::msg::Request::test(self)
     }
 }
 

@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `pure_send_msg(buf, count, dt, dest, tag, comm)` | [`crate::comm::PureComm::send`] (count = slice length, datatype = `T: PureDatatype`) |
 //! | `pure_recv_msg(...)` | [`crate::comm::PureComm::recv`] |
-//! | non-blocking variants + wait | [`crate::comm::PureComm::isend`] / [`crate::comm::PureComm::irecv`] → [`crate::Request::wait`], [`crate::Request::test`]; batch: [`crate::wait_all_poll`] |
+//! | non-blocking variants + wait | [`crate::comm::PureComm::isend`] / [`crate::comm::PureComm::irecv`] → [`crate::Request::wait`], [`crate::Request::test`]; batch (`pure_wait_all`): [`crate::wait_all`] |
 //! | `PURE_DOUBLE`, `PURE_INT`, … | the [`crate::PureDatatype`] impls (`f64`, `i32`, …) |
 //! | buffered mode / rendezvous threshold | [`crate::Config::small_msg_max`] |
 //!

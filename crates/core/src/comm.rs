@@ -258,14 +258,10 @@ impl PureComm {
     /// communicator construction) that never consults the tuner.
     pub(crate) fn leader_group(&self) -> LeaderGroup<'_> {
         LeaderGroup {
-            ep: &self.local.ep,
             nodes: &self.meta.nodes,
             my_pos: self.my_node_idx,
             tag_base: self.meta.tag_base,
-            sched: &self.local.sched,
-            steal: &self.local.steal,
-            deadline: self.local.shared.cfg.progress_deadline,
-            local: Some(&self.local),
+            local: &self.local,
             wire_eager_max: self.local.shared.cfg.small_msg_max,
             algo: InternodeAlgo::Flat,
         }

@@ -23,16 +23,11 @@
 //! `NodeEndpoint` send/recv, so the Sim and TCP backends execute them
 //! unchanged.
 
-use std::cell::RefCell;
-use std::time::Duration;
-
-use netsim::{FrameSlice, NodeEndpoint, WireTag};
+use netsim::{FrameSlice, WireTag};
 
 use crate::datatype::{as_bytes, as_bytes_mut, PureDatatype, ReduceOp, Reducible};
-use crate::error::{die_invariant, PeerAbortEcho, PureError};
+use crate::error::{die_invariant, PureError, PureResult};
 use crate::runtime::RankLocal;
-use crate::task::scheduler::{NodeScheduler, StealCtx};
-use crate::task::ssw::{ssw_try_until, WaitInterrupt};
 
 /// Inter-node algorithm family for the leader phase of one communicator.
 ///
@@ -183,25 +178,16 @@ pub(crate) fn rdv_parse(frame: &[u8]) -> Option<usize> {
 
 /// A leader's view of the cross-node phase of one communicator.
 pub struct LeaderGroup<'a> {
-    /// This node's endpoint.
-    pub ep: &'a NodeEndpoint,
     /// All member nodes, in a globally agreed order.
     pub nodes: &'a [LeaderInfo],
     /// Index of this node in `nodes`.
     pub my_pos: usize,
     /// Communicator-unique tag namespace base.
     pub tag_base: u32,
-    /// Scheduler + steal context so waits run the SSW-Loop.
-    pub sched: &'a NodeScheduler,
-    /// This thread's steal context.
-    pub steal: &'a RefCell<StealCtx>,
-    /// Progress deadline inherited from the launch config (`None` =
-    /// unbounded, the paper's behaviour).
-    pub deadline: Option<Duration>,
-    /// The rank driving this leader view, when running inside a launch;
-    /// routes fatal wire errors through the abort protocol so every other
-    /// rank unwinds too (`None` in bare harness tests: plain panic).
-    pub(crate) local: Option<&'a RankLocal>,
+    /// The leader rank driving this view: its endpoint carries the frames,
+    /// its SSW wait blocks for them, and fatal wire errors go through its
+    /// abort protocol so every other rank unwinds too.
+    pub(crate) local: &'a RankLocal,
     /// Largest payload sent as a single eager frame; larger ones go through
     /// the header-then-chunks wire rendezvous (see `RDV_MAGIC`).
     pub wire_eager_max: usize,
@@ -210,33 +196,18 @@ pub struct LeaderGroup<'a> {
 }
 
 impl LeaderGroup<'_> {
-    /// This leader's world rank (falls back to the node position in bare
-    /// harness tests, where positions and ranks coincide).
-    fn my_rank(&self) -> usize {
-        self.local.map_or(self.my_pos, |l| l.rank)
-    }
-
-    /// Raise a fatal cross-node error: through the launch abort protocol
-    /// when attached to a rank (peers unwind, the watchdog dump fires, the
-    /// launch reports `pure: rank R failed: …`), a plain panic otherwise.
-    fn fail(&self, err: PureError) -> ! {
-        match self.local {
-            Some(l) => l.escalate(err),
-            None => panic!("{err}"),
-        }
-    }
-
     fn send_t<T: PureDatatype>(&self, dst_pos: usize, phase: u32, data: &[T]) {
         let dst = self.nodes[dst_pos];
         let me = self.nodes[self.my_pos];
         let tag = WireTag::collective(me.leader_local, dst.leader_local, self.tag_base + phase);
         let bytes = as_bytes(data);
+        let ep = &self.local.ep;
         if bytes.len() <= self.wire_eager_max {
             // One kind byte ahead of the payload: user bytes can never be
             // mistaken for a rendezvous header, whatever their content.
             // `send_parts` gathers both parts straight into a pooled wire
             // buffer — no intermediate framed Vec.
-            self.ep.send_parts(dst.node, tag, &[FRAME_EAGER], bytes);
+            ep.send_parts(dst.node, tag, &[FRAME_EAGER], bytes);
             return;
         }
         // Wire rendezvous: announce the size, then stream eager-sized
@@ -244,9 +215,9 @@ impl LeaderGroup<'_> {
         let mut hdr = [0u8; 9];
         hdr[0] = FRAME_RDV;
         hdr[1..].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
-        self.ep.send(dst.node, tag, &hdr);
+        ep.send(dst.node, tag, &hdr);
         for chunk in bytes.chunks(self.wire_eager_max.max(1)) {
-            self.ep.send(dst.node, tag, chunk);
+            ep.send(dst.node, tag, chunk);
         }
     }
 
@@ -254,17 +225,15 @@ impl LeaderGroup<'_> {
     /// drives the transport's progress engine (a miss flushes what this
     /// leader itself has buffered for coalescing, then ticks ACKs and
     /// retransmits), so leader waits survive dropped internode frames with
-    /// no extra code here. When attached to a rank, the wait is that rank's
+    /// no extra code here. The wait is the leader rank's
     /// [`RankLocal::ssw_wait`]: watchdog-visible, progressing its pending
     /// sends, and carrying the crash-stop interrupt probe, so a leader
     /// blocked on a *dead* peer's frame mid-collective unwinds with a
     /// structured verdict in bounded time — followers are never stranded by
     /// a dead leader.
     fn recv_frame(&self, src: LeaderInfo, tag: WireTag, what: &'static str) -> FrameSlice {
-        match self.recv_frame_result(src, tag, what) {
-            Ok(payload) => payload,
-            Err(e) => self.fail(e),
-        }
+        self.recv_frame_result(src, tag, what)
+            .unwrap_or_else(|e| self.local.escalate(e))
     }
 
     /// Fallible body of [`LeaderGroup::recv_frame`]: timeout, peer-death
@@ -275,42 +244,15 @@ impl LeaderGroup<'_> {
         src: LeaderInfo,
         tag: WireTag,
         what: &'static str,
-    ) -> Result<FrameSlice, PureError> {
-        let poll = || self.ep.try_recv(src.node, tag);
-        let wait = match self.local {
-            Some(l) => l.ssw_wait(what, Some(src.leader_world), self.deadline, poll),
-            None => ssw_try_until(self.sched, self.steal, self.deadline, poll),
-        };
-        match wait {
-            Ok(payload) => Ok(payload),
-            Err(WaitInterrupt::Aborted) => std::panic::panic_any(PeerAbortEcho(format!(
-                "pure: a peer rank failed; aborting this rank's wait in {what}"
-            ))),
-            Err(WaitInterrupt::TimedOut(elapsed)) => Err(PureError::Timeout {
-                rank: self.my_rank(),
-                op: what,
-                peer: Some(src.leader_world),
-                tag: None,
-                elapsed,
-            }),
-            Err(WaitInterrupt::PeerDead { node, epoch }) => Err(PureError::PeerDead {
-                rank: self.my_rank(),
-                op: what,
-                peer: if node == src.node {
-                    src.leader_world
-                } else {
-                    self.local
-                        .and_then(|l| l.shared.rank_node.iter().position(|&n| n == node))
-                        .unwrap_or(src.leader_world)
-                },
-                epoch,
-            }),
-            Err(WaitInterrupt::Revoked { comm }) => Err(PureError::Revoked {
-                rank: self.my_rank(),
-                op: what,
-                comm,
-            }),
-        }
+    ) -> PureResult<FrameSlice> {
+        let l = self.local;
+        l.ssw_wait(
+            what,
+            Some(src.leader_world),
+            None,
+            l.shared.cfg.progress_deadline,
+            || l.ep.try_recv(src.node, tag),
+        )
     }
 
     /// Receive one logical payload from `src.node`: a single eager frame,
@@ -350,8 +292,8 @@ impl LeaderGroup<'_> {
         let payload = self.recv_wire(src, tag, "leader collective");
         let ob = as_bytes_mut(out);
         if payload.len() != ob.len() {
-            self.fail(PureError::Truncation {
-                rank: self.my_rank(),
+            self.local.escalate(PureError::Truncation {
+                rank: self.local.rank,
                 op: "leader collective",
                 peer: Some(src.leader_world),
                 sent: payload.len(),
@@ -731,9 +673,7 @@ fn prev_power_of_two(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::scheduler::{ChunkMode, StealPolicy};
-    use netsim::{Cluster, NetConfig};
-    use std::sync::Arc;
+    use crate::runtime::{launch_map, Config};
 
     #[test]
     fn prev_pow2() {
@@ -745,66 +685,37 @@ mod tests {
         assert_eq!(prev_power_of_two(63), 32);
     }
 
-    /// Drive an n-node leader collective with one OS thread per node,
+    /// Drive an n-node leader collective: a launch of one rank per node,
+    /// each running `f` on the leader view of its world communicator,
     /// forcing the wire rendezvous for payloads above `eager_max` and
     /// running the `algo` inter-node family.
-    fn run_leaders_cfg<R: Send + 'static>(
+    fn run_leaders_cfg<R: Send>(
         n: usize,
         eager_max: usize,
         algo: InternodeAlgo,
-        f: impl Fn(LeaderGroup<'_>) -> R + Send + Sync + 'static,
+        f: impl Fn(LeaderGroup<'_>) -> R + Sync,
     ) -> Vec<R> {
-        let cluster = Cluster::new(n, NetConfig::default());
-        let nodes: Arc<Vec<LeaderInfo>> = Arc::new(
-            (0..n)
-                .map(|i| LeaderInfo {
-                    node: i,
-                    leader_local: 0,
-                    leader_world: i,
-                })
-                .collect(),
-        );
-        let f = Arc::new(f);
-        let mut handles = Vec::new();
-        for pos in 0..n {
-            let ep = cluster.endpoint(pos);
-            let nodes = Arc::clone(&nodes);
-            let f = Arc::clone(&f);
-            handles.push(std::thread::spawn(move || {
-                let sched =
-                    NodeScheduler::new(1, 1, StealPolicy::Random, ChunkMode::SingleChunk, 4);
-                let steal = RefCell::new(StealCtx::new(0, pos as u64 + 1));
-                f(LeaderGroup {
-                    ep: &ep,
-                    nodes: &nodes,
-                    my_pos: pos,
-                    tag_base: 1000,
-                    sched: &sched,
-                    steal: &steal,
-                    deadline: None,
-                    local: None,
-                    wire_eager_max: eager_max,
-                    algo,
-                })
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let cfg = Config::new(n).with_ranks_per_node(1);
+        let (_, results) = launch_map(cfg, |ctx| {
+            let mut g = ctx.world().leader_group();
+            g.wire_eager_max = eager_max;
+            g.algo = algo;
+            f(g)
+        });
+        results
     }
 
     /// As [`run_leaders_cfg`] with the flat algorithms.
-    fn run_leaders_with<R: Send + 'static>(
+    fn run_leaders_with<R: Send>(
         n: usize,
         eager_max: usize,
-        f: impl Fn(LeaderGroup<'_>) -> R + Send + Sync + 'static,
+        f: impl Fn(LeaderGroup<'_>) -> R + Sync,
     ) -> Vec<R> {
         run_leaders_cfg(n, eager_max, InternodeAlgo::Flat, f)
     }
 
     /// As [`run_leaders_with`] with every payload eager (the classic path).
-    fn run_leaders<R: Send + 'static>(
-        n: usize,
-        f: impl Fn(LeaderGroup<'_>) -> R + Send + Sync + 'static,
-    ) -> Vec<R> {
+    fn run_leaders<R: Send>(n: usize, f: impl Fn(LeaderGroup<'_>) -> R + Sync) -> Vec<R> {
         run_leaders_with(n, usize::MAX, f)
     }
 

@@ -71,12 +71,12 @@ pub mod tuner;
 pub mod util;
 pub mod writing_pure_programs;
 
-pub use api::{wait_all_poll, CommRequest, Communicator};
+pub use api::{wait_all, CommRequest, Communicator};
 pub use comm::PureComm;
 pub use datatype::{PureDatatype, ReduceOp, Reducible};
 pub use error::{PureError, PureResult};
 pub use internode::InternodeAlgo;
-pub use msg::{wait_all, Request};
+pub use msg::Request;
 pub use runtime::{
     launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
     RankCtx, RankFaults, RankStats, Tag,
@@ -87,7 +87,7 @@ pub use telemetry::{Counter, CounterSnapshot, RuntimeStats, TraceEvent};
 
 /// The convenient glob-import surface.
 pub mod prelude {
-    pub use crate::api::{wait_all_poll, CommRequest, Communicator};
+    pub use crate::api::{wait_all, CommRequest, Communicator};
     pub use crate::comm::PureComm;
     pub use crate::datatype::{PureDatatype, ReduceOp, Reducible};
     pub use crate::error::{PureError, PureResult};

@@ -8,16 +8,18 @@
 //! and must be waited on ([`Request`] waits on drop, so forgetting a wait
 //! cannot corrupt a buffer).
 
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::api::CommRequest;
 use crate::channel::{CancelOutcome, Channel, ChannelKey, RecvOverrun};
 use crate::comm::PureComm;
 use crate::datatype::PureDatatype;
 use crate::error::{PureError, PureResult};
-use crate::runtime::{RankLocal, Tag, INTERNAL_TAG_BASE};
+use crate::runtime::{RankLocal, Tag, WaitPeers, INTERNAL_TAG_BASE};
 use crate::telemetry;
 
 /// Escalate a channel-layer receive overrun as a structured truncation
@@ -376,9 +378,9 @@ impl Request<'_> {
     }
 
     /// Non-blocking completion check (like `MPI_Test`). A fruitless test
-    /// counts as a fruitless poll of a wait the caller is building (see
-    /// [`crate::wait_all_poll`]): what this rank has buffered for cross-node
-    /// coalescing goes out, exactly as in [`Request::wait`].
+    /// counts as a fruitless poll of a wait the caller is building: what
+    /// this rank has buffered for cross-node coalescing goes out, exactly
+    /// as in [`Request::wait`].
     pub fn test(&mut self) -> bool {
         if !self.done {
             if self.poll() {
@@ -491,9 +493,41 @@ impl Drop for Request<'_> {
     }
 }
 
-/// Wait for every request (like `MPI_Waitall`).
-pub fn wait_all<'a>(reqs: impl IntoIterator<Item = Request<'a>>) {
-    for r in reqs {
-        r.wait();
+impl CommRequest for Request<'_> {
+    fn wait(self) {
+        Request::wait(self)
+    }
+
+    fn test(&mut self) -> bool {
+        Request::test(self)
+    }
+
+    /// One SSW wait, `"wait_all"`, whose poll completes every request that
+    /// is ready: the batch steals, honours the progress deadline, is seen
+    /// by the watchdog and is crash-probed on the peer of every request
+    /// still incomplete, exactly as a single [`Request::wait`].
+    fn wait_all(reqs: Vec<Self>) {
+        // A request `test` already completed is not polled, nor counted, again.
+        let pending = RefCell::new(reqs.into_iter().filter(|r| !r.done).collect::<Vec<_>>());
+        let Some(local) = pending.borrow().first().map(|r| Rc::clone(&r.local)) else {
+            return;
+        };
+        local.ssw_op("wait_all", &pending, None, || {
+            let mut reqs = pending.borrow_mut();
+            reqs.retain_mut(|r| {
+                let ready = r.poll();
+                if ready {
+                    r.complete();
+                }
+                !ready
+            });
+            reqs.is_empty().then_some(())
+        });
+    }
+}
+
+impl WaitPeers for &RefCell<Vec<Request<'_>>> {
+    fn find(&self, hit: impl Fn(usize) -> bool) -> Option<usize> {
+        self.borrow().iter().map(|r| r.peer).find(|&p| hit(p))
     }
 }

@@ -24,7 +24,7 @@ use crate::collectives::CollArea;
 use crate::comm::{CommMeta, PureComm, TagBaseAlloc};
 use crate::error::{payload_message, AbortCause, CrashStop, PeerAbortEcho, PureError, PureResult};
 use crate::task::scheduler::{ChunkMode, NodeScheduler, StealCtx, StealPolicy};
-use crate::task::ssw::{ssw_try_until_probed, WaitInterrupt};
+use crate::task::ssw::{ssw_loop, WaitInterrupt};
 use crate::task::{thunk_for, ChunkRange};
 use crate::telemetry::{RankCounters, RuntimeStats, TraceEvent, Tracer};
 use netsim::{Cluster, NetConfig, NodeEndpoint};
@@ -640,6 +640,21 @@ pub(crate) const NET_TICK_SHIFT_MIN: u32 = 6;
 /// suspicion floor so backing off never starves heartbeats.
 pub(crate) const NET_TICK_SHIFT_MAX: u32 = 12;
 
+/// The peer world ranks a blocked wait is waiting on: the rank its errors
+/// name, and the ranks its probe checks for condemnation under
+/// [`OnPeerDeath::Revoke`]. One optional peer for most waits; a batch wait
+/// has one per incomplete request.
+pub(crate) trait WaitPeers {
+    /// The first peer for which `hit` holds.
+    fn find(&self, hit: impl Fn(usize) -> bool) -> Option<usize>;
+}
+
+impl WaitPeers for Option<usize> {
+    fn find(&self, hit: impl Fn(usize) -> bool) -> Option<usize> {
+        self.filter(|&p| hit(p))
+    }
+}
+
 /// Per-rank runtime state (thread-local by construction; not `Send`).
 pub(crate) struct RankLocal {
     pub rank: usize,
@@ -731,44 +746,23 @@ impl RankLocal {
 
     /// Run the SSW-Loop until `poll` yields a value, progressing this
     /// rank's pending sends on every iteration. Bounded by the launch-wide
-    /// progress deadline (when configured) and interrupted by peer aborts;
-    /// both escalate instead of returning, so callers stay infallible.
-    /// `op`/`peer`/`tag` label the wait for the diagnostic dump and error.
+    /// progress deadline (when configured); every interrupt escalates
+    /// instead of returning, so callers stay infallible.
+    /// `op`/`peers`/`tag` label the wait for the diagnostic dump and error.
     pub fn ssw_op<T>(
         &self,
         op: &'static str,
-        peer: Option<usize>,
+        peers: impl WaitPeers,
         tag: Option<Tag>,
         poll: impl FnMut() -> Option<T>,
     ) -> T {
         let deadline = self.shared.cfg.progress_deadline;
-        match self.ssw_wait(op, peer, deadline, poll) {
-            Ok(v) => v,
-            Err(WaitInterrupt::Aborted) => self.escalate(PureError::PeerAborted {
-                rank: self.rank,
-                op,
-            }),
-            Err(WaitInterrupt::TimedOut(elapsed)) => self.escalate(PureError::Timeout {
-                rank: self.rank,
-                op,
-                peer,
-                tag,
-                elapsed,
-            }),
-            Err(WaitInterrupt::PeerDead { node, epoch }) => {
-                self.escalate(self.peer_dead_error(op, peer, node, epoch))
-            }
-            Err(WaitInterrupt::Revoked { comm }) => self.escalate(PureError::Revoked {
-                rank: self.rank,
-                op,
-                comm,
-            }),
-        }
+        self.ssw_wait(op, peers, tag, deadline, poll)
+            .unwrap_or_else(|e| self.escalate(e))
     }
 
     /// Fallible SSW wait with a caller-supplied deadline: `Timeout` is
-    /// *returned* (the caller can cancel and recover); a peer abort still
-    /// escalates, because the launch is already dying. A peer-death verdict
+    /// *returned* (the caller can cancel and recover). A peer-death verdict
     /// escalates under [`OnPeerDeath::Abort`] and is *returned* under
     /// [`OnPeerDeath::Revoke`] (the ULFM-style recovery path); a revoked
     /// communicator is always returned (revocation exists to be handled).
@@ -780,68 +774,25 @@ impl RankLocal {
         deadline: Duration,
         poll: impl FnMut() -> Option<T>,
     ) -> PureResult<T> {
-        match self.ssw_wait(op, peer, Some(deadline), poll) {
-            Ok(v) => Ok(v),
-            Err(WaitInterrupt::Aborted) => self.escalate(PureError::PeerAborted {
-                rank: self.rank,
-                op,
-            }),
-            Err(WaitInterrupt::TimedOut(elapsed)) => Err(PureError::Timeout {
-                rank: self.rank,
-                op,
-                peer,
-                tag,
-                elapsed,
-            }),
-            Err(WaitInterrupt::PeerDead { node, epoch }) => {
-                let err = self.peer_dead_error(op, peer, node, epoch);
-                match self.shared.cfg.on_peer_death {
-                    OnPeerDeath::Abort => self.escalate(err),
-                    OnPeerDeath::Revoke => Err(err),
+        self.ssw_wait(op, peer, tag, Some(deadline), poll)
+            .map_err(|e| match e {
+                PureError::PeerDead { .. }
+                    if self.shared.cfg.on_peer_death == OnPeerDeath::Abort =>
+                {
+                    self.escalate(e)
                 }
-            }
-            Err(WaitInterrupt::Revoked { comm }) => Err(PureError::Revoked {
-                rank: self.rank,
-                op,
-                comm,
-            }),
-        }
-    }
-
-    /// Build the [`PureError::PeerDead`] for a condemned node: name the
-    /// wait's own peer when it lives there, the node's lowest world rank
-    /// otherwise (the wait was not addressed to a specific counterpart).
-    fn peer_dead_error(
-        &self,
-        op: &'static str,
-        peer: Option<usize>,
-        node: usize,
-        epoch: u64,
-    ) -> PureError {
-        let peer = match peer {
-            Some(p) if self.shared.rank_node[p] == node => p,
-            _ => self
-                .shared
-                .rank_node
-                .iter()
-                .position(|&n| n == node)
-                .unwrap_or(usize::MAX),
-        };
-        PureError::PeerDead {
-            rank: self.rank,
-            op,
-            peer,
-            epoch,
-        }
+                e => e,
+            })
     }
 
     /// The per-wait interrupt probe (checked every 64 fruitless SSW
     /// iterations): revocation of the current communicator first, then the
     /// failure detector's verdicts. Under [`OnPeerDeath::Abort`] *any*
     /// condemned peer unwinds the wait (the launch is about to die anyway);
-    /// under [`OnPeerDeath::Revoke`] only a wait addressed to a rank on a
-    /// condemned node fires, so survivors keep operating among themselves.
-    pub(crate) fn wait_probe(&self, peer: Option<usize>) -> Option<WaitInterrupt> {
+    /// under [`OnPeerDeath::Revoke`] only a wait on one of `peers` living
+    /// on a condemned node fires, so survivors keep operating among
+    /// themselves.
+    fn wait_probe(&self, peers: &impl WaitPeers) -> Option<WaitInterrupt> {
         if self.shared.any_revoked.load(Ordering::Acquire) {
             let c = self.cur_comm.get();
             if c != 0 && self.shared.is_revoked(c) {
@@ -856,21 +807,27 @@ impl RankLocal {
                     }
                 }
                 OnPeerDeath::Revoke => {
-                    if let Some(p) = peer {
-                        let node = self.shared.rank_node[p];
-                        if let Some(epoch) = self.ep.peer_dead(node) {
-                            return Some(WaitInterrupt::PeerDead { node, epoch });
-                        }
-                    }
+                    let node_of = |p: usize| self.shared.rank_node[p];
+                    let dead = peers.find(|p| self.ep.peer_dead(node_of(p)).is_some())?;
+                    let node = node_of(dead);
+                    let epoch = self.ep.peer_dead(node)?;
+                    return Some(WaitInterrupt::PeerDead { node, epoch });
                 }
             }
         }
         None
     }
 
-    /// Common SSW body of every blocking wait a rank enters (p2p, requests,
-    /// collectives, and the leaders' cross-node waits): health bookkeeping
-    /// around the interruptible loop.
+    /// The one SSW wait every blocked rank runs (p2p, requests and their
+    /// batches, collectives, and the leaders' cross-node waits): health
+    /// bookkeeping around the interruptible loop, then the one translation
+    /// of an interrupt into a [`PureError`]. A peer abort never returns —
+    /// the launch is already dying, so it unwinds as an echo; every other
+    /// interrupt comes back for the caller's policy (escalate, return, or
+    /// split on [`OnPeerDeath`]). A timeout names the first of `peers`; a
+    /// peer-death verdict names the one of `peers` on the condemned node,
+    /// or that node's lowest world rank when the wait was not addressed to
+    /// it.
     ///
     /// Each fruitless poll first puts this rank's own buffered cross-node
     /// subframes on the wire, once they have lingered 20 µs
@@ -882,10 +839,11 @@ impl RankLocal {
     pub(crate) fn ssw_wait<T>(
         &self,
         op: &'static str,
-        peer: Option<usize>,
+        peers: impl WaitPeers,
+        tag: Option<Tag>,
         deadline: Option<Duration>,
         mut poll: impl FnMut() -> Option<T>,
-    ) -> Result<T, WaitInterrupt> {
+    ) -> PureResult<T> {
         let robust = self.shared.robust;
         if robust {
             let h = &self.shared.health[self.rank];
@@ -893,11 +851,11 @@ impl RankLocal {
             h.wait_since_ns
                 .store(self.shared.now_ns(), Ordering::Relaxed);
         }
-        let res = ssw_try_until_probed(
+        let res = ssw_loop(
             &self.sched,
             &self.steal,
             deadline,
-            || self.wait_probe(peer),
+            || self.wait_probe(&peers),
             || {
                 self.progress_sends();
                 if let Some(v) = poll() {
@@ -933,7 +891,31 @@ impl RankLocal {
             h.hb_ns.store(self.shared.now_ns(), Ordering::Relaxed);
             h.wait_since_ns.store(0, Ordering::Relaxed);
         }
-        res
+        let rank = self.rank;
+        res.map_err(|why| match why {
+            WaitInterrupt::Aborted => self.escalate(PureError::PeerAborted { rank, op }),
+            WaitInterrupt::TimedOut(elapsed) => PureError::Timeout {
+                rank,
+                op,
+                peer: peers.find(|_| true),
+                tag,
+                elapsed,
+            },
+            WaitInterrupt::PeerDead { node, epoch } => {
+                let rank_node = &self.shared.rank_node;
+                let peer = peers
+                    .find(|p| rank_node[p] == node)
+                    .or_else(|| rank_node.iter().position(|&n| n == node))
+                    .unwrap_or(usize::MAX);
+                PureError::PeerDead {
+                    rank,
+                    op,
+                    peer,
+                    epoch,
+                }
+            }
+            WaitInterrupt::Revoked { comm } => PureError::Revoked { rank, op, comm },
+        })
     }
 
     /// Turn a fatal wait failure into a launch-wide abort. A `PeerAborted`

@@ -140,6 +140,17 @@ impl TaskSlot {
     }
 }
 
+/// What one [`NodeScheduler::ssw_step`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SswStep {
+    /// Ran a stolen chunk.
+    Stole,
+    /// Found nothing to steal and spun.
+    Spun,
+    /// Found nothing to steal, past the spin budget, and yielded the core.
+    Yielded,
+}
+
 /// The per-node scheduler: the `active_tasks` array plus policy knobs.
 pub struct NodeScheduler {
     slots: Box<[TaskSlot]>,
@@ -185,11 +196,6 @@ impl NodeScheduler {
     /// Number of rank threads this scheduler serves.
     pub fn n_workers(&self) -> usize {
         self.n_workers
-    }
-
-    /// Configured spin budget before the SSW-Loop yields.
-    pub fn spin_budget(&self) -> u32 {
-        self.spin_budget
     }
 
     /// Flag a fatal error; all waiting loops will panic promptly.
@@ -384,16 +390,7 @@ impl NodeScheduler {
             if self.aborted() {
                 panic!("pure: peer rank failed while this rank was in a task");
             }
-            if self.try_steal_once(ctx) {
-                spins = 0;
-                continue;
-            }
-            spins += 1;
-            if spins > self.spin_budget {
-                interleave::thread::yield_now();
-            } else {
-                interleave::hint::spin_loop();
-            }
+            self.ssw_step(ctx, &mut spins);
         }
         slot.status.store(0, Ordering::Release);
     }
@@ -403,20 +400,29 @@ impl NodeScheduler {
     /// when [`NodeScheduler::shutdown_helpers`] is called.
     pub fn run_helper(&self, ctx: &mut StealCtx) {
         let mut spins = 0u32;
-        while !self.shutdown.load(Ordering::Acquire) {
-            if self.aborted() {
-                return;
-            }
-            if self.try_steal_once(ctx) {
-                spins = 0;
-                continue;
-            }
-            spins += 1;
-            if spins > self.spin_budget {
-                interleave::thread::yield_now();
-            } else {
-                interleave::hint::spin_loop();
-            }
+        while !self.shutdown.load(Ordering::Acquire) && !self.aborted() {
+            self.ssw_step(ctx, &mut spins);
+        }
+    }
+
+    /// One fruitless turn of a wait, after its condition was polled: steal
+    /// one chunk if any co-resident task has one (and reset `spins`, so the
+    /// caller re-polls at once), else spin — or, once `spins` passes the
+    /// spin budget, yield the core. The SSW-Loop, an owner waiting for its
+    /// thieves and a helper thread all take this step.
+    #[inline]
+    pub(crate) fn ssw_step(&self, ctx: &mut StealCtx, spins: &mut u32) -> SswStep {
+        if self.try_steal_once(ctx) {
+            *spins = 0;
+            return SswStep::Stole;
+        }
+        *spins += 1;
+        if *spins > self.spin_budget {
+            interleave::thread::yield_now();
+            SswStep::Yielded
+        } else {
+            interleave::hint::spin_loop();
+            SswStep::Spun
         }
     }
 }
@@ -573,6 +579,19 @@ mod tests {
         let s = sched(4);
         let mut ctx = StealCtx::new(2, 3);
         assert!(!s.try_steal_once(&mut ctx));
+    }
+
+    #[test]
+    fn ssw_step_spins_up_to_the_budget_then_yields() {
+        let s = sched(4); // spin budget 16; no task is open to steal from
+        let mut ctx = StealCtx::new(1, 3);
+        let mut spins = 0u32;
+        for _ in 0..16 {
+            assert_eq!(s.ssw_step(&mut ctx, &mut spins), SswStep::Spun);
+        }
+        assert_eq!(s.ssw_step(&mut ctx, &mut spins), SswStep::Yielded);
+        assert_eq!(s.ssw_step(&mut ctx, &mut spins), SswStep::Yielded);
+        assert_eq!(spins, 18);
     }
 
     #[test]

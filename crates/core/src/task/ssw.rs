@@ -11,11 +11,15 @@
 //! budget the behaviour degenerates to the paper's pure spinning. The loop
 //! also watches the node's abort flag so one rank's panic fails the whole
 //! run promptly instead of deadlocking everyone else.
+//!
+//! `ssw_loop` is the one loop; every rank enters it through
+//! `RankLocal::ssw_wait`, which adds the health bookkeeping and turns an
+//! interrupt into a structured error.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use super::scheduler::{NodeScheduler, StealCtx};
+use super::scheduler::{NodeScheduler, SswStep, StealCtx};
 use crate::telemetry::{self, Counter};
 
 /// Accumulates spin/yield tallies locally during one SSW wait and flushes
@@ -56,59 +60,28 @@ pub enum WaitInterrupt {
     },
 }
 
-/// Run the SSW-Loop until `poll` produces a value.
+/// Run the SSW-Loop until `poll` produces a value, or until an interrupt:
+/// the node's abort flag, the optional `deadline`, or a verdict of the
+/// *interrupt probe*.
+///
+/// `probe` and the deadline are checked every 64 fruitless iterations, so
+/// the ready path and the spinning path stay free of clock reads; a wait can
+/// therefore overshoot its deadline by a few yields, never undershoot it.
+/// The probe is how the crash-stop failure detector reaches every blocked
+/// wait: it asks the node's endpoint for condemned peers (or a revoked
+/// communicator), so a dead peer unwinds the wait in bounded time with a
+/// structured error — no watchdog involved.
 ///
 /// `steal_ctx` is this thread's stealing context; it is only borrowed for
-/// the duration of each steal attempt, so `poll` may itself use rank-local
-/// state (but must not re-enter the scheduler).
-pub fn ssw_until<T>(
-    sched: &NodeScheduler,
-    steal_ctx: &RefCell<StealCtx>,
-    poll: impl FnMut() -> Option<T>,
-) -> T {
-    match ssw_try_until(sched, steal_ctx, None, poll) {
-        Ok(v) => v,
-        Err(WaitInterrupt::Aborted) => {
-            panic!("pure: a peer rank failed; aborting this rank's wait")
-        }
-        Err(WaitInterrupt::TimedOut(_)) => unreachable!("no deadline was set"),
-        Err(WaitInterrupt::PeerDead { .. } | WaitInterrupt::Revoked { .. }) => {
-            unreachable!("no interrupt probe was installed")
-        }
-    }
-}
-
-/// Interruptible SSW-Loop: like [`ssw_until`], but instead of panicking on
-/// abort it returns [`WaitInterrupt::Aborted`], and an optional `deadline`
-/// bounds the wait with [`WaitInterrupt::TimedOut`].
-///
-/// The deadline is checked every 64 fruitless iterations, so the ready path
-/// and the spinning path stay free of clock reads; a wait can therefore
-/// overshoot its deadline by a few yields, never undershoot it.
-pub fn ssw_try_until<T>(
-    sched: &NodeScheduler,
-    steal_ctx: &RefCell<StealCtx>,
-    deadline: Option<Duration>,
-    poll: impl FnMut() -> Option<T>,
-) -> Result<T, WaitInterrupt> {
-    ssw_try_until_probed(sched, steal_ctx, deadline, || None, poll)
-}
-
-/// [`ssw_try_until`] with an additional *interrupt probe*: `probe` is
-/// evaluated on the same 64-iteration cadence as the deadline check, and a
-/// `Some(interrupt)` unwinds the wait with that verdict. This is how the
-/// crash-stop failure detector reaches every blocked wait: the probe asks
-/// the node's endpoint for condemned peers (or a revoked communicator), so
-/// a dead peer unwinds the wait in bounded time with a structured error —
-/// no watchdog involved.
-pub fn ssw_try_until_probed<T>(
+/// the duration of each SSW step, so `poll` may itself use rank-local state
+/// (but must not re-enter the scheduler).
+pub(crate) fn ssw_loop<T>(
     sched: &NodeScheduler,
     steal_ctx: &RefCell<StealCtx>,
     deadline: Option<Duration>,
     mut probe: impl FnMut() -> Option<WaitInterrupt>,
     mut poll: impl FnMut() -> Option<T>,
 ) -> Result<T, WaitInterrupt> {
-    let budget = sched.spin_budget();
     let mut spins = 0u32;
     let mut iters = 0u32;
     let started = deadline.map(|_| Instant::now());
@@ -135,29 +108,12 @@ pub fn ssw_try_until_probed<T>(
                 }
             }
         }
-        let stole = sched.try_steal_once(&mut steal_ctx.borrow_mut());
-        if stole {
-            spins = 0; // work happened; re-check immediately
-            continue;
-        }
-        spins += 1;
-        if spins > budget {
-            tally.yields += 1;
-            interleave::thread::yield_now();
-        } else {
-            tally.spins += 1;
-            interleave::hint::spin_loop();
+        match sched.ssw_step(&mut steal_ctx.borrow_mut(), &mut spins) {
+            SswStep::Stole => {}
+            SswStep::Spun => tally.spins += 1,
+            SswStep::Yielded => tally.yields += 1,
         }
     }
-}
-
-/// SSW-wait on a boolean condition.
-pub fn ssw_while(
-    sched: &NodeScheduler,
-    steal_ctx: &RefCell<StealCtx>,
-    mut done: impl FnMut() -> bool,
-) {
-    ssw_until(sched, steal_ctx, || if done() { Some(()) } else { None })
 }
 
 #[cfg(test)]
@@ -172,12 +128,15 @@ mod tests {
         NodeScheduler::new(2, 1, StealPolicy::Random, ChunkMode::SingleChunk, 8)
     }
 
+    /// The loop with no deadline and a probe that never fires.
+    fn wait<T>(s: &NodeScheduler, poll: impl FnMut() -> Option<T>) -> Result<T, WaitInterrupt> {
+        let ctx = RefCell::new(StealCtx::new(0, 1));
+        ssw_loop(s, &ctx, None, || None, poll)
+    }
+
     #[test]
     fn returns_immediately_when_ready() {
-        let s = sched();
-        let ctx = RefCell::new(StealCtx::new(0, 1));
-        let v = ssw_until(&s, &ctx, || Some(42));
-        assert_eq!(v, 42);
+        assert_eq!(wait(&sched(), || Some(42)), Ok(42));
     }
 
     #[test]
@@ -189,26 +148,16 @@ mod tests {
             thread::yield_now();
             f2.store(true, Ordering::Release);
         });
-        let ctx = RefCell::new(StealCtx::new(0, 1));
-        ssw_while(&s, &ctx, || flag.load(Ordering::Acquire));
+        let r = wait(&s, || flag.load(Ordering::Acquire).then_some(()));
+        assert_eq!(r, Ok(()));
         setter.join().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "peer rank failed")]
     fn abort_breaks_the_wait() {
         let s = sched();
         s.set_abort();
-        let ctx = RefCell::new(StealCtx::new(0, 1));
-        ssw_while(&s, &ctx, || false);
-    }
-
-    #[test]
-    fn try_variant_reports_abort_instead_of_panicking() {
-        let s = sched();
-        s.set_abort();
-        let ctx = RefCell::new(StealCtx::new(0, 1));
-        let r: Result<(), _> = ssw_try_until(&s, &ctx, None, || None);
+        let r: Result<(), _> = wait(&s, || None);
         assert_eq!(r, Err(WaitInterrupt::Aborted));
     }
 
@@ -217,7 +166,7 @@ mod tests {
         let s = sched();
         let ctx = RefCell::new(StealCtx::new(0, 1));
         let d = std::time::Duration::from_millis(20);
-        let r: Result<(), _> = ssw_try_until(&s, &ctx, Some(d), || None);
+        let r: Result<(), _> = ssw_loop(&s, &ctx, Some(d), || None, || None);
         match r {
             Err(WaitInterrupt::TimedOut(e)) => assert!(e >= d, "elapsed {e:?} < deadline"),
             other => panic!("expected timeout, got {other:?}"),
@@ -229,7 +178,7 @@ mod tests {
         let s = sched();
         let ctx = RefCell::new(StealCtx::new(0, 1));
         let mut n = 0u32;
-        let r: Result<(), _> = ssw_try_until_probed(
+        let r: Result<(), _> = ssw_loop(
             &s,
             &ctx,
             None,
@@ -246,7 +195,7 @@ mod tests {
     fn probe_is_not_consulted_when_condition_is_ready() {
         let s = sched();
         let ctx = RefCell::new(StealCtx::new(0, 1));
-        let r = ssw_try_until_probed(
+        let r = ssw_loop(
             &s,
             &ctx,
             None,
@@ -261,10 +210,16 @@ mod tests {
         let s = sched();
         let ctx = RefCell::new(StealCtx::new(0, 1));
         let mut n = 0;
-        let r = ssw_try_until(&s, &ctx, Some(std::time::Duration::from_secs(30)), || {
-            n += 1;
-            (n > 500).then_some(n)
-        });
+        let r = ssw_loop(
+            &s,
+            &ctx,
+            Some(std::time::Duration::from_secs(30)),
+            || None,
+            || {
+                n += 1;
+                (n > 500).then_some(n)
+            },
+        );
         assert_eq!(r, Ok(501));
     }
 }

@@ -62,10 +62,12 @@
 //!
 //! * Post receives before the matching sends arrive when payloads are
 //!   large (rendezvous needs the receiver's buffer).
-//! * Complete batches with [`crate::wait_all_poll`] when a rank holds both
+//! * Complete batches with [`crate::wait_all`] when a rank holds both
 //!   outstanding sends and receives — it polls everything, so bounded
-//!   queues cannot deadlock against a symmetric peer. (The SSW-Loop also
-//!   flushes pending sends in the background while a rank blocks.)
+//!   queues cannot deadlock against a symmetric peer. On Pure it is one
+//!   SSW-Loop wait: it steals, honours the progress deadline and unwinds on
+//!   a dead peer like any other wait. (The SSW-Loop also flushes pending
+//!   sends in the background while a rank blocks.)
 //!
 //! ## Determinism
 //!

@@ -209,6 +209,82 @@ fn crash_mid_collective_unwinds_on_every_algorithm_family() {
     }
 }
 
+/// Run `f` on a guard thread and return its panic message. A run still
+/// going after 10 s fails the sweep instead of hanging the suite.
+fn panic_within_10s(f: impl FnOnce() + Send + 'static) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let res = catch_unwind(AssertUnwindSafe(f));
+        let _ = tx.send(res.err().map(panic_message));
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("still hung after 10 s")
+        .expect("the run must fail")
+}
+
+/// A miniAMR-shaped face exchange on a ring: every round each rank posts
+/// receives from both neighbours, sends a face to each and completes the
+/// batch in `wait_all`. The rightward face goes by blocking `send` (a cross-
+/// node send completes at post time), so the victim's seeded crash — which
+/// counts blocking operations — lands before its faces of that round leave,
+/// and both its neighbours, then everyone, end up blocked in `wait_all`.
+/// The batch wait is crash-probed on every incomplete request's peer, so
+/// survivors unwind with the detector's verdict under both peer-death
+/// policies, never with the watchdog.
+#[test]
+fn crash_mid_face_exchange_unwinds_wait_all_with_peer_dead() {
+    const RANKS: usize = 4;
+    for policy in [OnPeerDeath::Abort, OnPeerDeath::Revoke] {
+        for seed in 0..seed_count() {
+            let victim = (mix64(seed ^ 0xFACE) % RANKS as u64) as usize;
+            let at = 1 + mix64(seed ^ 0xE8C4) % 16;
+            let mut cfg = Config::new(RANKS)
+                .with_ranks_per_node(1)
+                .with_rank_faults(RankFaults {
+                    crash_at: Some((victim, at)),
+                    ..RankFaults::default()
+                })
+                .with_on_peer_death(policy)
+                // Safety net only: the assertion below proves it never fires.
+                .with_deadline(Duration::from_secs(20));
+            cfg.spin_budget = 16;
+            cfg.net = NetConfig::default()
+                .with_backend(chaos_backend())
+                .with_detection(DetectPlan::aggressive());
+            let msg = panic_within_10s(move || {
+                launch(cfg, |ctx| {
+                    let w = ctx.world();
+                    let me = ctx.rank();
+                    let (left, right) = ((me + RANKS - 1) % RANKS, (me + 1) % RANKS);
+                    for round in 0..4000u64 {
+                        let face = [round, me as u64];
+                        let (mut from_left, mut from_right) = ([0u64; 2], [0u64; 2]);
+                        let reqs = vec![
+                            w.irecv(&mut from_left, left, 5),
+                            w.irecv(&mut from_right, right, 5),
+                            w.isend(&face, left, 5),
+                        ];
+                        w.send(&face, right, 5);
+                        wait_all(reqs);
+                        assert_eq!(from_left, [round, left as u64]);
+                        assert_eq!(from_right, [round, right as u64]);
+                    }
+                });
+            });
+            assert!(
+                msg.contains("declared dead"),
+                "{policy:?} seed {seed} victim {victim} at op {at}: survivors \
+                 must unwind with the detector's verdict, got: {msg}"
+            );
+            assert!(
+                !msg.contains("watchdog"),
+                "{policy:?} seed {seed}: the watchdog fired — wait_all bypassed \
+                 the probed path: {msg}"
+            );
+        }
+    }
+}
+
 /// ULFM-style recovery: under `OnPeerDeath::Revoke` a peer's death surfaces
 /// as `Err(PeerDead)` from fallible operations instead of tearing the launch
 /// down. Survivors revoke the world, agree on the failure view, `shrink()`

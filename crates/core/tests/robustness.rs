@@ -25,6 +25,19 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Run `f` on a guard thread and return its panic message. A run still
+/// going after 10 s fails this test instead of hanging the suite.
+fn panic_within_10s(f: impl FnOnce() + Send + 'static) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let _ = tx.send(res.err().map(panic_message));
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("still hung after 10 s")
+        .expect("the run must fail")
+}
+
 #[test]
 fn rank_panic_mid_collective_reports_rank_and_message() {
     let res = std::panic::catch_unwind(|| {
@@ -191,6 +204,32 @@ fn global_deadline_aborts_a_stuck_launch() {
     });
     let msg = panic_message(res.expect_err("deadline must abort the launch"));
     assert!(msg.contains("timed out"), "not a timeout report: {msg}");
+}
+
+/// A batch wait is a wait like any other: the progress deadline bounds it
+/// and its own timeout, not the watchdog, reports it.
+#[test]
+fn wait_all_honours_the_progress_deadline() {
+    let msg = panic_within_10s(|| {
+        let c = cfg(2).with_deadline(Duration::from_millis(200));
+        launch(c, |ctx| {
+            if ctx.rank() == 0 {
+                // Rank 1 never sends.
+                let mut b = [0u8];
+                wait_all(vec![ctx.world().irecv(&mut b, 1, 0)]);
+            }
+        });
+    });
+    assert!(msg.contains("timed out"), "not a timeout report: {msg}");
+    assert!(
+        msg.contains("in wait_all"),
+        "the batch wait is not named: {msg}"
+    );
+    assert!(
+        msg.contains("rank 0"),
+        "the waiting rank is not named: {msg}"
+    );
+    assert!(!msg.contains("watchdog"), "the watchdog fired: {msg}");
 }
 
 #[test]

@@ -375,6 +375,31 @@ fn tasks_steal_while_blocked_on_recv() {
     assert_eq!(owned + stolen, 128, "every chunk accounted for");
 }
 
+/// A rank blocked in a batch wait runs the SSW loop like any other wait:
+/// it steals chunks of a co-resident rank's task. The chunks sleep, so the
+/// owner leaves the core free for the thief even on one vCPU.
+#[test]
+fn wait_all_steals_while_blocked() {
+    let report = launch(cfg(2), |ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 0 {
+            ctx.execute_task(64, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(1))
+            });
+            w.send(&[1u8], 1, 0);
+        } else {
+            let mut done = [0u8];
+            wait_all(vec![w.irecv(&mut done, 0, 0)]);
+        }
+    });
+    let (owner, thief) = (&report.per_rank[0], &report.per_rank[1]);
+    assert_eq!(owner.chunks_owned + thief.chunks_stolen, 64);
+    assert!(
+        thief.chunks_stolen > 0,
+        "rank 1 stole nothing while blocked in wait_all"
+    );
+}
+
 #[test]
 fn helper_threads_are_harmless_and_can_steal() {
     let mut c = cfg(2);

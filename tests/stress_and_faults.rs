@@ -32,8 +32,9 @@ fn all_pairs_message_storm() {
             reqs.push(w.isend(&small, peer, 1));
             reqs.push(w.isend(&big, peer, 2));
         }
-        // Phase 2: receive everything (posted before waiting sends via the
-        // polling helper to avoid rendezvous backpressure deadlock).
+        // Phase 2: receive everything (posted before waiting, and completed
+        // with the sends in one batch wait to avoid rendezvous backpressure
+        // deadlock).
         for (peer, (sb, bb)) in small_bufs.iter_mut().zip(big_bufs.iter_mut()).enumerate() {
             if peer == me {
                 continue;
@@ -41,7 +42,7 @@ fn all_pairs_message_storm() {
             reqs.push(w.irecv(sb, peer, 1));
             reqs.push(w.irecv(bb, peer, 2));
         }
-        wait_all_poll(reqs);
+        wait_all(reqs);
         for peer in 0..n {
             if peer == me {
                 continue;
