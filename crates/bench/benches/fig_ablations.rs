@@ -2,9 +2,6 @@
 //! the real runtime of this machine:
 //!
 //! 1. PBQ slot count (paper §4.1.1: "not a material performance driver");
-//! 3. chunk claim mode (single vs guided) × steal policy (random /
-//!    NUMA-aware / sticky) — paper §4.3 found "no significant performance
-//!    differences"; we verify none of them breaks anything and report times.
 //! 4. PBQ cached vs uncached indices, in the DES cost model: the
 //!    producer/consumer-side cached opposite-index fast path (one shared
 //!    cacheline touched per op in the common case) against the always-load
@@ -14,9 +11,10 @@
 //!    enforced: on a shared host the delta is mostly scheduling noise.
 //!
 //! There is no number 2 (SPTD vs shared-counter arrival): the runtime ships
-//! SPTD arrival only. EXPERIMENTS.md "Ablations" keeps its last reading.
+//! SPTD arrival only. There is no number 3 (chunk mode × steal policy): the
+//! runtime ships the paper's single-chunk random steal only.
+//! EXPERIMENTS.md "Ablations" keeps the last readings of both.
 
-use miniapps::stencil::{rand_stencil, StencilParams};
 use pure_bench::trajectory::{self, Figure};
 use pure_bench::{header, row};
 use pure_core::prelude::*;
@@ -45,25 +43,6 @@ fn pingpong(mut cfg: Config, iters: usize) -> f64 {
     times[0]
 }
 
-fn stencil_with_sched(mode: ChunkMode, policy: StealPolicy) -> f64 {
-    let p = StencilParams {
-        arr_sz: trajectory::pick(2048, 256),
-        iters: trajectory::pick(3, 1),
-        mean_work: trajectory::pick(40, 10),
-        ..Default::default()
-    };
-    let mut cfg = Config::new(4);
-    cfg.spin_budget = 16;
-    cfg.chunk_mode = mode;
-    cfg.steal_policy = policy;
-    cfg.numa_domains_per_node = 2;
-    let t0 = Instant::now();
-    launch(cfg, move |ctx| {
-        let _ = rand_stencil(ctx.world(), &p, true);
-    });
-    t0.elapsed().as_nanos() as f64
-}
-
 fn main() {
     let mut fig = Figure::new("fig_ablations");
     let pp_iters = trajectory::pick(3000, 300);
@@ -81,36 +60,6 @@ fn main() {
                 &slots.to_string(),
                 &[format!("{:.0}", pingpong(cfg, pp_iters))]
             )
-        );
-    }
-
-    header(
-        "Ablation 3 — chunk mode × steal policy (task-heavy stencil)",
-        "paper: no significant differences; all must complete correctly",
-    );
-    println!("{}", row("mode/policy", &["total ns".into()]));
-    for (name, mode, policy) in [
-        (
-            "single + random",
-            ChunkMode::SingleChunk,
-            StealPolicy::Random,
-        ),
-        (
-            "single + numa",
-            ChunkMode::SingleChunk,
-            StealPolicy::NumaAware,
-        ),
-        (
-            "single + sticky",
-            ChunkMode::SingleChunk,
-            StealPolicy::Sticky,
-        ),
-        ("guided + random", ChunkMode::Guided, StealPolicy::Random),
-        ("guided + sticky", ChunkMode::Guided, StealPolicy::Sticky),
-    ] {
-        println!(
-            "{}",
-            row(name, &[format!("{:.0}", stencil_with_sched(mode, policy))])
         );
     }
 

@@ -44,7 +44,7 @@
 //! | `pure_aligned_idx_range<T>` | [`crate::ChunkRange::aligned`] (unaligned variant: [`crate::ChunkRange::unaligned`]) |
 //! | thread-safety inside tasks | [`crate::SharedSlice`] hands out disjoint per-chunk sub-slices |
 //! | `PURE_MAX_TASK_CHUNKS` | the `chunks` argument of `execute_task` |
-//! | scheduler modes (single-chunk / guided; random / NUMA / sticky; helpers) | [`crate::Config::chunk_mode`], [`crate::Config::steal_policy`], [`crate::Config::helpers_per_node`] (steal-only threads) |
+//! | scheduler modes (single-chunk / guided; random / NUMA / sticky; helpers) | single-chunk claims with a random-start victim scan, the paper's evaluated mode (the others showed no significant difference and are not shipped); helpers: [`crate::Config::helpers_per_node`] (steal-only threads) |
 //! | SSW-Loop (a blocked rank spins, steals, and drives cross-node progress) | every blocking wait; no progress thread, no option |
 //!
 //! ## Migration tooling (§1, §5)

@@ -32,8 +32,8 @@ use crate::runtime::RankLocal;
 /// Inter-node algorithm family for the leader phase of one communicator.
 ///
 /// Chosen statically with `Config::with_collective_fanin` /
-/// `with_collective_ring`, or per-collective by the telemetry-driven
-/// auto-tuner (`Config::with_collective_autotune`). Every leader of a
+/// `with_collective_ring`, or per-collective by the auto-tuner
+/// (`Config::with_collective_autotune`). Every leader of a
 /// communicator must run the same algorithm for a given collective — the
 /// tuner therefore decides from inputs identical at every rank (group
 /// shape + payload size), never from rank-local state.

@@ -81,7 +81,6 @@ pub use runtime::{
     launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
     RankCtx, RankFaults, RankStats, Tag,
 };
-pub use task::scheduler::{ChunkMode, StealPolicy};
 pub use task::{ChunkRange, PureTask, SharedSlice};
 pub use telemetry::{Counter, CounterSnapshot, RuntimeStats, TraceEvent};
 
@@ -96,7 +95,6 @@ pub mod prelude {
         launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
         RankCtx, RankFaults, Tag,
     };
-    pub use crate::task::scheduler::{ChunkMode, StealPolicy};
     pub use crate::task::{ChunkRange, PureTask, SharedSlice};
     pub use crate::telemetry::{Counter, RuntimeStats};
     pub use netsim::{

@@ -23,7 +23,7 @@ use crate::channel::{Channel, ChannelFactoryCfg, ChannelKey, ChannelTable};
 use crate::collectives::CollArea;
 use crate::comm::{CommMeta, PureComm, TagBaseAlloc};
 use crate::error::{payload_message, AbortCause, CrashStop, PeerAbortEcho, PureError, PureResult};
-use crate::task::scheduler::{ChunkMode, NodeScheduler, StealCtx, StealPolicy};
+use crate::task::scheduler::{NodeScheduler, StealCtx};
 use crate::task::ssw::{ssw_loop, WaitInterrupt};
 use crate::task::{thunk_for, ChunkRange};
 use crate::telemetry::{RankCounters, RuntimeStats, TraceEvent, Tracer};
@@ -68,7 +68,7 @@ pub enum CollectiveAlgo {
     /// A fixed inter-node algorithm (k-ary tree or ring) for every
     /// collective, regardless of payload size.
     Fixed(crate::internode::InternodeAlgo),
-    /// Telemetry-driven: each collective picks the modeled-optimal
+    /// Auto-tuned: each collective picks the modeled-optimal
     /// algorithm from its payload size and the communicator's node count
     /// via [`crate::tuner::choose_algo`] — deterministic and identical at
     /// every leader, so the wire protocol always agrees.
@@ -76,7 +76,7 @@ pub enum CollectiveAlgo {
 }
 
 /// Runtime configuration — the knobs the paper exposes through its Makefile
-/// (threshold sizes, processes per node, helper threads, scheduler modes)
+/// (threshold sizes, processes per node, helper threads)
 /// plus this port's additions (simulated network, spin budget).
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -97,14 +97,8 @@ pub struct Config {
     pub env_slots: usize,
     /// SSW-Loop spins before yielding the core.
     pub spin_budget: u32,
-    /// Chunk claim sizing.
-    pub chunk_mode: ChunkMode,
-    /// Steal victim selection.
-    pub steal_policy: StealPolicy,
     /// Dedicated helper (steal-only) threads per node (§5.1, DT size A).
     pub helpers_per_node: usize,
-    /// NUMA domains per node (victim-preference for NUMA-aware stealing).
-    pub numa_domains_per_node: usize,
     /// Simulated interconnect parameters. Its progress engine is driven by
     /// the ranks themselves, from their SSW-Loop waits.
     pub net: NetConfig,
@@ -179,10 +173,7 @@ impl Config {
             pbq_slots: 8,
             env_slots: 8,
             spin_budget: 64,
-            chunk_mode: ChunkMode::SingleChunk,
-            steal_policy: StealPolicy::Random,
             helpers_per_node: 0,
-            numa_domains_per_node: 1,
             net: NetConfig::default(),
             seed: 0x5EED,
             progress_deadline: None,
@@ -636,8 +627,9 @@ impl Shared {
 /// Fastest cooperative net-tick gate: one tick per 64 SSW polls.
 pub(crate) const NET_TICK_SHIFT_MIN: u32 = 6;
 /// Slowest cooperative net-tick gate after a fruitless streak: one tick
-/// per 4096 SSW polls. Kept well under the aggressive detector's ~20 ms
-/// suspicion floor so backing off never starves heartbeats.
+/// per 4096 SSW polls. A poll count is not a time, so with the failure
+/// detector armed a heartbeat-interval floor also forces ticks
+/// (`RankLocal::heartbeat_due`).
 pub(crate) const NET_TICK_SHIFT_MAX: u32 = 12;
 
 /// The peer world ranks a blocked wait is waiting on: the rank its errors
@@ -687,6 +679,9 @@ pub(crate) struct RankLocal {
     /// in particular — is not busy-polled from every blocked wait;
     /// productive ticks snap it back to [`NET_TICK_SHIFT_MIN`].
     pub net_tick_shift: Cell<u32>,
+    /// Launch clock (ns) of the last net tick the heartbeat time floor
+    /// forced; read only when the failure detector is armed.
+    pub net_tick_ns: Cell<u64>,
     /// True when the crash-stop failure detector is armed on a multi-node
     /// cluster: every SSW wait installs the peer-death probe.
     pub detect_active: bool,
@@ -717,8 +712,6 @@ impl RankLocal {
     pub(crate) fn count_sent(&self, bytes: usize) {
         self.msgs_sent.set(self.msgs_sent.get() + 1);
         self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
-        // Message-size histogram: feeds the auto-tuner's threshold picks.
-        crate::telemetry::count(crate::telemetry::msg_size_bucket(bytes));
     }
 
     /// Count one completed point-to-point receive.
@@ -783,6 +776,24 @@ impl RankLocal {
                 }
                 e => e,
             })
+    }
+
+    /// True when the failure detector is armed and a heartbeat interval
+    /// has passed since this check last answered `true`: a time floor under
+    /// the cooperative net ticks. On an oversubscribed host every
+    /// fruitless SSW poll yields the core, so the poll-count gate alone can
+    /// stretch to tens of milliseconds and let the node's heartbeats lapse
+    /// past the suspicion threshold while its ranks are alive.
+    fn heartbeat_due(&self) -> bool {
+        let Some(plan) = self.shared.cfg.net.detect.filter(|_| self.detect_active) else {
+            return false;
+        };
+        let now = self.shared.now_ns();
+        if now.saturating_sub(self.net_tick_ns.get()) < plan.hb_interval_ns {
+            return false;
+        }
+        self.net_tick_ns.set(now);
+        true
     }
 
     /// The per-wait interrupt probe (checked every 64 fruitless SSW
@@ -872,10 +883,12 @@ impl RankLocal {
                     // The gate is adaptive: fruitless ticks widen it (a
                     // real socket must not be hammered from every blocked
                     // wait), productive ones snap it back to the floor.
+                    // With the detector armed, a heartbeat interval of wall
+                    // time also forces a tick.
                     let n = self.net_poll.get().wrapping_add(1);
                     self.net_poll.set(n);
                     let shift = self.net_tick_shift.get();
-                    if n & ((1 << shift) - 1) == 0 {
+                    if n & ((1 << shift) - 1) == 0 || self.heartbeat_due() {
                         if self.ep.progress() {
                             self.net_tick_shift.set(NET_TICK_SHIFT_MIN);
                         } else {
@@ -1259,15 +1272,7 @@ where
 
     let scheds: Vec<Arc<NodeScheduler>> = node_ranks
         .iter()
-        .map(|ranks| {
-            Arc::new(NodeScheduler::new(
-                ranks.len(),
-                cfg.numa_domains_per_node,
-                cfg.steal_policy,
-                cfg.chunk_mode,
-                cfg.spin_budget,
-            ))
-        })
+        .map(|ranks| Arc::new(NodeScheduler::new(ranks.len(), cfg.spin_budget)))
         .collect();
 
     let robust = cfg.progress_deadline.is_some()
@@ -1355,6 +1360,7 @@ where
                     net_active,
                     net_poll: Cell::new(0),
                     net_tick_shift: Cell::new(NET_TICK_SHIFT_MIN),
+                    net_tick_ns: Cell::new(0),
                     detect_active,
                     cur_comm: Cell::new(0),
                     shared: Arc::clone(&shared),
@@ -1507,4 +1513,66 @@ where
         stats: shared.runtime_stats(traces.into_inner()),
     };
     (report, results.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::Communicator;
+    use crate::datatype::ReduceOp;
+    use netsim::{CoalescePlan, DetectPlan};
+
+    /// A rank whose wait polls slowly — each poll holds the core for
+    /// ~2 ms, as a yield does on an oversubscribed host — must keep its
+    /// node heartbeating. 64 such polls span ~130 ms, far past the
+    /// aggressive detector's 20 ms floor, so a tick gated on the poll
+    /// count alone would let the peer condemn a live node.
+    #[test]
+    fn slow_polls_keep_the_node_heartbeating() {
+        let mut cfg = Config::new(2)
+            .with_ranks_per_node(1)
+            .with_deadline(Duration::from_secs(20));
+        cfg.spin_budget = 16;
+        cfg.net = NetConfig::default().with_detection(DetectPlan::aggressive());
+        let report = launch(cfg, |ctx| {
+            if ctx.rank() == 1 {
+                let t0 = Instant::now();
+                ctx.local.ssw_op("slow poll", None, None, || {
+                    std::thread::sleep(Duration::from_millis(2));
+                    (t0.elapsed() >= Duration::from_millis(200)).then_some(())
+                });
+            }
+            ctx.world().barrier();
+        });
+        assert_eq!(report.stats.net_suspicions, 0, "a live node was condemned");
+    }
+
+    /// The heartbeat time floor reads the clock only when the failure
+    /// detector is armed: a coalescing-only cluster never touches it.
+    #[test]
+    fn heartbeat_floor_needs_the_detector() {
+        for detect in [false, true] {
+            let mut net = NetConfig::default().with_coalescing(CoalescePlan::default());
+            if detect {
+                net = net.with_detection(DetectPlan::default());
+            }
+            let mut cfg = Config::new(2).with_ranks_per_node(1).with_net(net);
+            cfg.spin_budget = 16;
+            launch(cfg, move |ctx| {
+                let w = ctx.world();
+                if ctx.rank() == 1 {
+                    // Rank 0 waits past a heartbeat interval for this one.
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                for round in 0..8u64 {
+                    let got = w.allreduce_one(round, ReduceOp::Sum);
+                    assert_eq!(got, 2 * round);
+                }
+                assert_eq!(ctx.local.detect_active, detect);
+                if !detect || ctx.rank() == 0 {
+                    assert_eq!(ctx.local.net_tick_ns.get() > 0, detect);
+                }
+            });
+        }
+    }
 }

@@ -119,13 +119,12 @@ pub(crate) fn ssw_loop<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::scheduler::{ChunkMode, StealPolicy};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::thread;
 
     fn sched() -> NodeScheduler {
-        NodeScheduler::new(2, 1, StealPolicy::Random, ChunkMode::SingleChunk, 8)
+        NodeScheduler::new(2, 8)
     }
 
     /// The loop with no deadline and a probe that never fires.

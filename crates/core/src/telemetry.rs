@@ -100,52 +100,12 @@ counters! {
     StealAttempt => "steal_attempt",
     /// Steal probes that found, claimed and executed a chunk.
     Steal => "steal",
-    /// Messages sent with payloads of at most 64 bytes.
-    MsgLe64 => "msg_le_64",
-    /// Messages sent with payloads of 65..=512 bytes.
-    MsgLe512 => "msg_le_512",
-    /// Messages sent with payloads of 513..=4096 bytes.
-    MsgLe4k => "msg_le_4k",
-    /// Messages sent with payloads of 4 KiB+1..=32 KiB.
-    MsgLe32k => "msg_le_32k",
-    /// Messages sent with payloads of 32 KiB+1..=256 KiB.
-    MsgLe256k => "msg_le_256k",
-    /// Messages sent with payloads above 256 KiB.
-    MsgGt256k => "msg_gt_256k",
     /// Inter-node tree/ring rounds traversed by hierarchical collectives.
     CollTreeRounds => "coll_tree_rounds",
     /// Sum of fan-ins chosen for hierarchical collectives (÷ op count = avg).
     CollFaninChosen => "coll_fanin_chosen",
     /// Times the auto-tuner changed a knob from its previous choice.
     TunerAdjustments => "tuner_adjustments",
-}
-
-/// The message-size histogram bucket counters, smallest payload class
-/// first — the shape the [`crate::tuner`] consumes. `MSG_SIZE_BOUNDS[i]`
-/// is the inclusive upper payload bound of `MSG_SIZE_BUCKETS[i]` (the
-/// last bucket is unbounded).
-pub const MSG_SIZE_BUCKETS: [Counter; 6] = [
-    Counter::MsgLe64,
-    Counter::MsgLe512,
-    Counter::MsgLe4k,
-    Counter::MsgLe32k,
-    Counter::MsgLe256k,
-    Counter::MsgGt256k,
-];
-
-/// Inclusive upper payload bounds of [`MSG_SIZE_BUCKETS`] (the final
-/// bucket has no bound).
-pub const MSG_SIZE_BOUNDS: [usize; 5] = [64, 512, 4096, 32 * 1024, 256 * 1024];
-
-/// The histogram bucket for a `bytes`-sized message payload.
-#[inline]
-pub fn msg_size_bucket(bytes: usize) -> Counter {
-    for (i, &bound) in MSG_SIZE_BOUNDS.iter().enumerate() {
-        if bytes <= bound {
-            return MSG_SIZE_BUCKETS[i];
-        }
-    }
-    Counter::MsgGt256k
 }
 
 // ---------------------------------------------------------------------------
@@ -663,20 +623,6 @@ mod tests {
             assert_eq!(*c as usize, i, "discriminants must be dense");
             assert!(seen.insert(c.name()), "duplicate counter name {}", c.name());
         }
-    }
-
-    #[test]
-    fn msg_size_buckets_partition_the_payload_range() {
-        assert_eq!(msg_size_bucket(0), Counter::MsgLe64);
-        assert_eq!(msg_size_bucket(64), Counter::MsgLe64);
-        assert_eq!(msg_size_bucket(65), Counter::MsgLe512);
-        assert_eq!(msg_size_bucket(512), Counter::MsgLe512);
-        assert_eq!(msg_size_bucket(4096), Counter::MsgLe4k);
-        assert_eq!(msg_size_bucket(4097), Counter::MsgLe32k);
-        assert_eq!(msg_size_bucket(256 * 1024), Counter::MsgLe256k);
-        assert_eq!(msg_size_bucket(256 * 1024 + 1), Counter::MsgGt256k);
-        assert_eq!(msg_size_bucket(usize::MAX), Counter::MsgGt256k);
-        assert_eq!(MSG_SIZE_BUCKETS.len(), MSG_SIZE_BOUNDS.len() + 1);
     }
 
     #[test]

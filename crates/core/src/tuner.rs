@@ -1,26 +1,21 @@
-//! The telemetry-driven auto-tuner (§4.2, ROADMAP "topology-aware
-//! hierarchical collectives"): turns observed per-rank message-size
-//! histograms and the communicator's topology into concrete knob
-//! settings — the inter-node collective algorithm (flat vs k-ary tree vs
-//! ring, with the fan-in), the wire eager/rendezvous threshold, and the
-//! progress engine's coalescing watermark — instead of static config.
+//! The collective auto-tuner (§4.2, ROADMAP "topology-aware hierarchical
+//! collectives"): [`choose_algo`] picks the inter-node collective
+//! algorithm — flat vs k-ary tree vs ring, with the fan-in — for each
+//! collective in `Config::with_collective_autotune` mode, as the argmin
+//! of a cost model over [`NetParams`].
 //!
 //! Two properties are load-bearing:
 //!
 //! * **Determinism.** Every function here is a pure function of its
-//!   inputs: the same histogram and topology always produce the same
-//!   choices (asserted by tests; required so reruns are reproducible and
-//!   the differential oracle stays bit-identical).
-//! * **Rank agreement.** The per-collective algorithm choice
-//!   ([`choose_algo`]) depends only on inputs that are identical at every
-//!   member — group node count and the collective's payload size — never
-//!   on rank-local history. Every leader of a communicator therefore
-//!   independently picks the *same* algorithm for a given collective; a
-//!   divergent pick would be a wire-protocol mismatch. The rank-local
-//!   histogram only drives per-rank send-path knobs
-//!   ([`Tuning::wire_eager_max`], [`Tuning::coalesce_watermark`]), where
-//!   divergence between ranks is harmless by protocol construction (the
-//!   receive paths dispatch on in-band frame kinds).
+//!   inputs: the same topology and payload size always produce the same
+//!   choice (required so reruns are reproducible and the differential
+//!   oracle stays bit-identical).
+//! * **Rank agreement.** The choice depends only on inputs that are
+//!   identical at every member — the group's node count and the
+//!   collective's payload size — never on rank-local history such as
+//!   telemetry. Every leader of a communicator therefore independently
+//!   picks the *same* algorithm for a given collective; a divergent pick
+//!   would be a wire-protocol mismatch.
 //!
 //! The cost formulas mirror `cluster-sim`'s `CostModel` hierarchical
 //! terms (`net_tree_depth`, NUMA leader staging, NIC fan-in
@@ -29,7 +24,6 @@
 //! pick stays within 10% of the best static configuration.
 
 use crate::internode::{tree_depth, InternodeAlgo};
-use crate::telemetry::{CounterSnapshot, MSG_SIZE_BOUNDS, MSG_SIZE_BUCKETS};
 
 /// Interconnect parameters the tuner models with. Defaults mirror the
 /// DES cost model (`cluster_sim::CostModel`): 1.3 µs α, 10 GB/s link,
@@ -140,179 +134,9 @@ pub fn choose_algo(nodes: usize, bytes: usize) -> InternodeAlgo {
     NetParams::default().choose_algo(nodes, bytes)
 }
 
-/// A rank's observed message-size distribution, one count per
-/// [`MSG_SIZE_BUCKETS`] class (smallest payloads first).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MsgHistogram {
-    /// Message counts per size class.
-    pub counts: [u64; MSG_SIZE_BUCKETS.len()],
-}
-
-impl MsgHistogram {
-    /// Extract the histogram from a rank's telemetry snapshot.
-    pub fn from_snapshot(s: &CounterSnapshot) -> Self {
-        Self {
-            counts: std::array::from_fn(|i| s.get(MSG_SIZE_BUCKETS[i])),
-        }
-    }
-
-    /// Total messages observed.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The smallest bucket upper bound covering at least `q` (0..=1) of
-    /// the observed messages; `None` when the histogram is empty or the
-    /// mass only accumulates in the unbounded top bucket.
-    pub fn quantile_bound(&self, q: f64) -> Option<usize> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let need = (q * total as f64).ceil() as u64;
-        let mut acc = 0u64;
-        for (i, &bound) in MSG_SIZE_BOUNDS.iter().enumerate() {
-            acc += self.counts[i];
-            if acc >= need {
-                return Some(bound);
-            }
-        }
-        None
-    }
-
-    /// A representative payload size: the upper bound of the modal
-    /// bucket (ties to the smaller class; the top bucket maps to 1 MiB).
-    pub fn dominant_bytes(&self) -> usize {
-        let modal = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map_or(0, |(i, _)| i);
-        MSG_SIZE_BOUNDS.get(modal).copied().unwrap_or(1 << 20)
-    }
-}
-
-/// One tuning verdict: the knob settings recommended for a rank given
-/// its observed traffic and the launch topology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Tuning {
-    /// Wire eager/rendezvous threshold (bytes): the smallest size class
-    /// covering ≥ 90% of observed messages, clamped to [4 KiB, 64 KiB].
-    pub wire_eager_max: usize,
-    /// Outbound coalescing watermark (frames per jumbo): deep batching
-    /// when traffic is dominated by tiny messages, none when large
-    /// payloads dominate (they bypass the coalesce buffer anyway).
-    pub coalesce_watermark: usize,
-    /// Inter-node collective algorithm for the dominant payload class.
-    pub algo: InternodeAlgo,
-}
-
-/// Tune from a histogram with the default [`NetParams`].
-pub fn recommend(hist: &MsgHistogram, nodes: usize) -> Tuning {
-    recommend_with(&NetParams::default(), hist, nodes)
-}
-
-/// Tune from a histogram: a pure, deterministic function — identical
-/// histograms always produce identical [`Tuning`]s.
-pub fn recommend_with(p: &NetParams, hist: &MsgHistogram, nodes: usize) -> Tuning {
-    let total = hist.total();
-    let wire_eager_max = match hist.quantile_bound(0.90) {
-        Some(bound) => bound,
-        // Mass concentrated beyond the last finite bound: go as eager as
-        // the clamp allows. No observations at all: keep the default.
-        None if total > 0 => usize::MAX,
-        None => 8 * 1024,
-    }
-    .clamp(4 * 1024, 64 * 1024);
-    let small: u64 = hist.counts[..2].iter().sum(); // ≤ 512 B classes
-    let small_frac = if total == 0 {
-        0.0
-    } else {
-        small as f64 / total as f64
-    };
-    let coalesce_watermark = if small_frac >= 0.75 {
-        16
-    } else if small_frac >= 0.5 {
-        8
-    } else if small_frac >= 0.25 {
-        4
-    } else {
-        1
-    };
-    Tuning {
-        wire_eager_max,
-        coalesce_watermark,
-        algo: p.choose_algo(nodes, hist.dominant_bytes()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hist(counts: [u64; 6]) -> MsgHistogram {
-        MsgHistogram { counts }
-    }
-
-    #[test]
-    fn same_histogram_same_tuning() {
-        // Determinism: byte-identical inputs, byte-identical verdicts —
-        // across repeated calls and across parameter clones.
-        let h = hist([10, 200, 35, 4, 1, 0]);
-        let a = recommend(&h, 64);
-        for _ in 0..16 {
-            assert_eq!(recommend(&h, 64), a);
-            assert_eq!(recommend_with(&NetParams::default(), &h, 64), a);
-        }
-    }
-
-    #[test]
-    fn quantiles_and_dominant_class() {
-        let h = hist([90, 0, 0, 10, 0, 0]);
-        assert_eq!(h.quantile_bound(0.90), Some(64));
-        assert_eq!(h.quantile_bound(0.95), Some(32 * 1024));
-        assert_eq!(h.dominant_bytes(), 64);
-        assert_eq!(hist([0; 6]).quantile_bound(0.5), None);
-        // All mass in the unbounded bucket: no finite bound.
-        assert_eq!(hist([0, 0, 0, 0, 0, 7]).quantile_bound(0.5), None);
-        assert_eq!(hist([0, 0, 0, 0, 0, 7]).dominant_bytes(), 1 << 20);
-    }
-
-    #[test]
-    fn eager_threshold_tracks_traffic_within_clamps() {
-        // Tiny-message traffic clamps up to the 4 KiB floor...
-        assert_eq!(
-            recommend(&hist([1000, 0, 0, 0, 0, 0]), 4).wire_eager_max,
-            4096
-        );
-        // ...mid-size traffic lands on its own bucket bound...
-        assert_eq!(
-            recommend(&hist([0, 0, 0, 1000, 0, 0]), 4).wire_eager_max,
-            32 * 1024
-        );
-        // ...huge-message traffic clamps down to the 64 KiB ceiling.
-        assert_eq!(
-            recommend(&hist([0, 0, 0, 0, 0, 1000]), 4).wire_eager_max,
-            64 * 1024
-        );
-    }
-
-    #[test]
-    fn coalescing_deepens_with_small_message_fraction() {
-        assert_eq!(
-            recommend(&hist([900, 50, 50, 0, 0, 0]), 4).coalesce_watermark,
-            16
-        );
-        assert_eq!(
-            recommend(&hist([30, 30, 40, 0, 0, 0]), 4).coalesce_watermark,
-            8
-        );
-        assert_eq!(
-            recommend(&hist([0, 0, 0, 0, 0, 100]), 4).coalesce_watermark,
-            1
-        );
-    }
 
     #[test]
     fn algo_choice_is_flat_small_tree_at_scale_ring_for_bulk() {
@@ -350,14 +174,46 @@ mod tests {
     }
 
     #[test]
-    fn histogram_extraction_reads_the_bucket_counters() {
-        use crate::telemetry::{Counter, RankCounters};
-        let c = RankCounters::default();
-        c.bump_by(Counter::MsgLe64, 3);
-        c.bump_by(Counter::MsgLe4k, 2);
-        c.bump(Counter::MsgGt256k);
-        let h = MsgHistogram::from_snapshot(&c.snapshot());
-        assert_eq!(h.counts, [3, 0, 2, 0, 0, 1]);
-        assert_eq!(h.total(), 6);
+    fn equal_costs_resolve_to_flat() {
+        // A free network makes every candidate cost zero: the tie goes to
+        // the first candidate, so the wire protocol never churns.
+        let free = NetParams {
+            alpha_ns: 0.0,
+            beta_ns_per_byte: 0.0,
+            nic_ns_per_byte: 0.0,
+            small_hop_ns: 0.0,
+            leader_stage_ns: 0.0,
+            numa_leader_penalty_ns: 0.0,
+        };
+        for nodes in [3usize, 64, 1024] {
+            for bytes in [0usize, 8, 1 << 20] {
+                assert_eq!(free.choose_algo(nodes, bytes), InternodeAlgo::Flat);
+            }
+        }
+    }
+
+    #[test]
+    fn one_node_costs_nothing() {
+        let p = NetParams::default();
+        let algos = [
+            InternodeAlgo::Flat,
+            InternodeAlgo::Kary(4),
+            InternodeAlgo::Ring,
+        ];
+        for algo in algos {
+            for nodes in [0usize, 1] {
+                assert_eq!(p.modeled_allreduce_ns(algo, nodes, 1 << 20), 0.0);
+            }
+            assert!(p.modeled_allreduce_ns(algo, 2, 8) > 0.0);
+        }
+    }
+
+    #[test]
+    fn tiny_payloads_take_the_offloaded_hop() {
+        let p = NetParams::default();
+        assert_eq!(p.hop_ns(0), p.small_hop_ns);
+        assert_eq!(p.hop_ns(8), p.small_hop_ns);
+        // One byte past the offload cutoff pays the full α + nβ wire.
+        assert_eq!(p.hop_ns(9), p.alpha_ns + 9.0 * p.beta_ns_per_byte);
     }
 }

@@ -16,7 +16,6 @@ use pure_core::channel::envelope::EnvelopeQueue;
 use pure_core::channel::pbq::PureBufferQueue;
 use pure_core::collectives::sptd::Sptd;
 use pure_core::task::scheduler::{NodeScheduler, StealCtx};
-use pure_core::{ChunkMode, StealPolicy};
 
 fn opts(max_schedules: u64, random_schedules: u64) -> Options {
     Options {
@@ -338,13 +337,7 @@ unsafe fn count_chunk(data: *const (), s: u32, e: u32, _total: u32, _extra: *con
 #[test]
 fn scheduler_chunks_run_exactly_once_under_stealing() {
     let report = check(opts(8_000, 1_500), || {
-        let sched = Arc::new(NodeScheduler::new(
-            2,
-            1,
-            StealPolicy::Random,
-            ChunkMode::SingleChunk,
-            1,
-        ));
+        let sched = Arc::new(NodeScheduler::new(2, 1));
         let counts = Arc::new(ChunkCounts([
             AtomicU32::new(0),
             AtomicU32::new(0),

@@ -182,9 +182,6 @@ fn withdrawn_requests_count_no_message() {
             "rank {rank} counted a withdrawn message"
         );
     }
-    for &bucket in &pure_core::telemetry::MSG_SIZE_BUCKETS {
-        assert_eq!(report.stats.total(bucket), 0, "{bucket:?} counted");
-    }
 }
 
 #[test]

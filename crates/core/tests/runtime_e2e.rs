@@ -422,18 +422,13 @@ fn helper_threads_are_harmless_and_can_steal() {
     assert_eq!(total, 2 * 64);
 }
 
+/// The steal seed changes which rank runs a chunk, never how many times.
 #[test]
-fn guided_mode_and_policies_complete() {
-    for policy in [
-        StealPolicy::Random,
-        StealPolicy::NumaAware,
-        StealPolicy::Sticky,
-    ] {
+fn every_steal_seed_runs_each_chunk_once() {
+    for seed in [0, 1, 0x5EED, u64::MAX] {
         let mut c = cfg(3);
-        c.chunk_mode = ChunkMode::Guided;
-        c.steal_policy = policy;
-        c.numa_domains_per_node = 2;
-        launch(c, |ctx| {
+        c.seed = seed;
+        let report = launch(c, |ctx| {
             let mut data = vec![0u16; 2048];
             let shared = SharedSlice::new(&mut data);
             ctx.execute_task(32, |chunk| {
@@ -443,6 +438,12 @@ fn guided_mode_and_policies_complete() {
             });
             assert!(data.iter().all(|&x| x == 1));
         });
+        let total: u64 = report
+            .per_rank
+            .iter()
+            .map(|r| r.chunks_owned + r.chunks_stolen)
+            .sum();
+        assert_eq!(total, 3 * 32, "seed {seed:#x}");
     }
 }
 

@@ -79,7 +79,7 @@ fn latency_changes_time_not_results() {
     assert_eq!(run(NetConfig::default()), run(NetConfig::aries_like()));
 }
 
-/// Every steal-policy/chunk-mode combination produces identical app results
+/// Every steal seed and helper-thread count produces identical app results
 /// (scheduling is invisible to semantics).
 #[test]
 fn scheduler_knobs_do_not_change_comd_results() {
@@ -93,20 +93,15 @@ fn scheduler_knobs_do_not_change_comd_results() {
         ..Default::default()
     };
     let mut reference = None;
-    for mode in [ChunkMode::SingleChunk, ChunkMode::Guided] {
-        for policy in [
-            StealPolicy::Random,
-            StealPolicy::NumaAware,
-            StealPolicy::Sticky,
-        ] {
+    for seed in [0x5EED, 1, 0xDEAD_BEEF] {
+        for helpers in [0, 2] {
             let mut cfg = pure_cfg(4);
-            cfg.chunk_mode = mode;
-            cfg.steal_policy = policy;
-            cfg.numa_domains_per_node = 2;
+            cfg.seed = seed;
+            cfg.helpers_per_node = helpers;
             let (_, res) = launch_map(cfg, move |ctx| run_comd(ctx.world(), &p, true).checksum);
             match &reference {
                 None => reference = Some(res),
-                Some(r) => assert_eq!(r, &res, "{mode:?}/{policy:?} diverged"),
+                Some(r) => assert_eq!(r, &res, "seed {seed:#x} / {helpers} helpers diverged"),
             }
         }
     }
