@@ -154,8 +154,8 @@ fn traced_run(path: &str) {
     std::fs::write(path, report.stats.chrome_trace())
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!(
-        "\n[trace] wrote {path} ({} steals live); span kinds present: {spans:?}",
-        report.total_steals()
+        "\n[trace] wrote {path} ({} chunks stolen live); span kinds present: {spans:?}",
+        report.total_chunks_stolen()
     );
 }
 

@@ -102,11 +102,11 @@ fn main() {
             &[
                 format!("no-tasks {:?}", report_nt.elapsed),
                 format!("tasks {:?}", report_t.elapsed),
-                format!("steals {}", report_t.total_steals()),
+                format!("chunks stolen {}", report_t.total_chunks_stolen()),
             ]
         )
     );
-    fig.raw("real_steals", report_t.total_steals() as f64);
+    fig.raw("real_steals", report_t.total_chunks_stolen() as f64);
     fig.telemetry(
         "real_steal_attempts",
         report_t.stats.total(Counter::StealAttempt) as f64,

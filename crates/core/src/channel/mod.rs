@@ -22,6 +22,7 @@ pub mod envelope;
 pub mod pbq;
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -46,6 +47,41 @@ pub struct ChannelKey {
     pub tag: u32,
     /// Message payload size in bytes (count × element size).
     pub bytes: u64,
+}
+
+/// The hasher of a rank's channel cache: FxHash's multiply-rotate fold of
+/// the key's five words. SipHash's flood resistance buys nothing for keys
+/// a rank makes up itself, and costs more than the PBQ handoff it guards.
+pub(crate) type KeyHasher = BuildHasherDefault<KeyFold>;
+
+/// The [`Hasher`] behind [`KeyHasher`].
+#[derive(Default)]
+pub(crate) struct KeyFold(u64);
+
+impl KeyFold {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyFold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
 }
 
 /// One side's ordered in-flight bookkeeping.

@@ -23,6 +23,7 @@ use interleave::sync::atomic::Ordering;
 
 use crate::comm::PureComm;
 use crate::datatype::{as_bytes, PureDatatype, ReduceOp, Reducible};
+use crate::runtime::WaitOp;
 use crate::telemetry::{self, Counter};
 use crate::util::cache::aligned_chunk_range;
 
@@ -69,7 +70,7 @@ impl PureComm {
         // sequential waits each paying its own steal/yield cycle. `next`
         // persists across polls so already-seen arrivals are never re-loaded.
         let mut next = 0usize;
-        self.local.ssw_op("collective arrivals", None, None, || {
+        self.local.ssw_op(WaitOp::CollArrivals, None, None, || {
             while next < g {
                 if next == self.my_group_pos || self.area.sptd[next].seq() >= r {
                     next += 1;
@@ -82,10 +83,9 @@ impl PureComm {
     }
 
     fn wait_leader_seq(&self, r: u64) {
-        self.local
-            .ssw_op("collective leader result", None, None, || {
-                (self.area.leader_seq() >= r).then_some(())
-            });
+        self.local.ssw_op(WaitOp::CollLeaderResult, None, None, || {
+            (self.area.leader_seq() >= r).then_some(())
+        });
     }
 
     /// Wait until every group member has published its `done` backedge for
@@ -95,7 +95,7 @@ impl PureComm {
         let g = self.group_len();
         let mut next = 0usize;
         self.local
-            .ssw_op("collective done backedges", None, None, || {
+            .ssw_op(WaitOp::CollDoneBackedges, None, None, || {
                 while next < g {
                     if self.area.sptd[next].done() >= r {
                         next += 1;
@@ -271,7 +271,7 @@ impl PureComm {
             self.area.scratch_ready.store(r, Ordering::Release);
         } else {
             self.wait_all_arrivals(r);
-            self.local.ssw_op("reducer scratch", None, None, || {
+            self.local.ssw_op(WaitOp::ReducerScratch, None, None, || {
                 (self.area.scratch_ready.load(Ordering::Acquire) >= r).then_some(())
             });
         }
@@ -390,7 +390,7 @@ impl PureComm {
     }
 
     fn wait_bcast_seq(&self, r: u64) {
-        self.local.ssw_op("bcast payload", None, None, || {
+        self.local.ssw_op(WaitOp::BcastPayload, None, None, || {
             (self.area.bcast_seq.load(Ordering::Acquire) >= r).then_some(())
         });
     }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use crate::collectives::CollArea;
 use crate::error::{die_invariant, PureError, PureResult};
 use crate::internode::{InternodeAlgo, LeaderGroup, LeaderInfo};
-use crate::runtime::{CollectiveAlgo, RankLocal, Shared, Tag, INTERNAL_TAG_BASE};
-use interleave::sync::atomic::Ordering;
+use crate::runtime::{CollectiveAlgo, RankLocal, Shared, Tag, WaitOp, INTERNAL_TAG_BASE};
+use interleave::sync::atomic::{AtomicBool, Ordering};
 
 /// 64-bit mixer (splitmix64 finalizer) for communicator ids and tag bases.
 pub(crate) fn mix64(mut x: u64) -> u64 {
@@ -26,7 +26,12 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Launch-wide allocator of cross-node collective tag bases.
+/// A communicator's revocation flag ([`PureComm::revoke`]): one per comm
+/// id, shared launch-wide by every member's handle of that id.
+pub(crate) type RevokeFlag = Arc<AtomicBool>;
+
+/// Launch-wide allocator of cross-node collective tag bases, and of the
+/// revocation flag that travels with each.
 ///
 /// Each registered communicator id is handed the next 256-tag window
 /// (`sequence << 8`; internode phase numbers all fit in 8 bits), so bases of
@@ -35,20 +40,22 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// for adversarial (or merely unlucky) id pairs. The first member to
 /// register an id allocates its window; later members — racing from other
 /// ranks — read the cached assignment, so every member of a communicator
-/// agrees on the base without extra communication.
+/// agrees on the base, and shares one [`RevokeFlag`], without extra
+/// communication.
 #[derive(Default)]
 pub(crate) struct TagBaseAlloc {
-    /// comm id → assigned base.
-    assigned: std::collections::HashMap<u64, u32>,
+    /// comm id → assigned base and the comm's revocation flag.
+    assigned: std::collections::HashMap<u64, (u32, RevokeFlag)>,
     /// Next window sequence number.
     next: u32,
 }
 
 impl TagBaseAlloc {
-    /// The tag base of comm `id`, allocating a fresh window on first sight.
-    pub fn base_for(&mut self, id: u64) -> u32 {
-        if let Some(&base) = self.assigned.get(&id) {
-            return base;
+    /// The tag base and revocation flag of comm `id`, allocating a fresh
+    /// window and an unset flag on first sight.
+    pub fn base_for(&mut self, id: u64) -> (u32, RevokeFlag) {
+        if let Some((base, flag)) = self.assigned.get(&id) {
+            return (*base, Arc::clone(flag));
         }
         assert!(
             self.next < (1 << 24),
@@ -60,11 +67,12 @@ impl TagBaseAlloc {
         // counts are tiny next to message counts) and catches any future
         // edit that breaks the disjoint-window invariant.
         assert!(
-            self.assigned.values().all(|&b| b != base),
+            self.assigned.values().all(|&(b, _)| b != base),
             "pure: tag base {base:#x} already assigned to another live communicator"
         );
-        self.assigned.insert(id, base);
-        base
+        let flag = Arc::new(AtomicBool::new(false));
+        self.assigned.insert(id, (base, Arc::clone(&flag)));
+        (base, flag)
     }
 }
 
@@ -83,6 +91,8 @@ pub(crate) struct CommMeta {
     pub node_idx_of: Vec<u32>,
     /// Base of this comm's cross-node collective tag namespace.
     pub tag_base: u32,
+    /// Set once the comm is revoked, launch-wide.
+    pub revoked: RevokeFlag,
 }
 
 impl CommMeta {
@@ -135,7 +145,7 @@ impl CommMeta {
         // assigns each distinct comm id its own 256-tag window (see
         // [`TagBaseAlloc`]). Replaces the hash-derived scheme whose 2¹⁶
         // effective space collided for adversarial id pairs.
-        let tag_base = shared.tag_bases.lock().base_for(id);
+        let (tag_base, revoked) = shared.tag_bases.lock().base_for(id);
         Self {
             id,
             members,
@@ -143,6 +153,7 @@ impl CommMeta {
             groups,
             node_idx_of,
             tag_base,
+            revoked,
         }
     }
 }
@@ -206,12 +217,12 @@ impl PureComm {
 
     /// Operation prologue: record this comm as the one the next blocking
     /// wait belongs to (so the revocation probe can poison it) and fail
-    /// fast when the comm is already revoked. Cheap: a `Cell` store plus
-    /// one relaxed load until any revocation exists launch-wide.
+    /// fast when the comm is already revoked. Cheap: a pointer compare
+    /// (the handle is cloned only when the rank switches communicators)
+    /// and one load of this comm's own flag.
     pub(crate) fn op_enter(&self, op: &'static str) -> PureResult<()> {
-        self.local.cur_comm.set(self.meta.id);
-        let sh = &self.local.shared;
-        if sh.any_revoked.load(Ordering::Acquire) && sh.is_revoked(self.meta.id) {
+        self.enter_comm();
+        if self.meta.revoked.load(Ordering::Acquire) {
             return Err(PureError::Revoked {
                 rank: self.local.rank,
                 op,
@@ -219,6 +230,14 @@ impl PureComm {
             });
         }
         Ok(())
+    }
+
+    /// Make this comm the one the revocation probe watches.
+    fn enter_comm(&self) {
+        let mut cur = self.local.cur_comm.borrow_mut();
+        if !cur.as_ref().is_some_and(|c| Arc::ptr_eq(c, &self.meta)) {
+            *cur = Some(Arc::clone(&self.meta));
+        }
     }
 
     /// This rank's rank within the communicator.
@@ -348,7 +367,7 @@ impl PureComm {
     /// of whatever they are blocked in so they can [`PureComm::agree`] and
     /// [`PureComm::shrink`]. Irreversible.
     pub fn revoke(&self) {
-        self.local.shared.revoke_comm(self.meta.id);
+        self.meta.revoked.store(true, Ordering::Release);
     }
 
     /// Agree on the failure view (`MPI_Comm_agree`-flavoured): returns the
@@ -367,7 +386,7 @@ impl PureComm {
         self.agrees.set(round);
         // Agreement must proceed on a revoked comm, so exempt its waits
         // from the revocation probe while we are inside.
-        self.local.cur_comm.set(0);
+        self.local.cur_comm.borrow_mut().take();
         let shared = Rc::clone(&self.local).shared.clone();
         let cell = shared.agree_cell(self.meta.id, round);
         cell.arrived.fetch_add(1, Ordering::AcqRel);
@@ -388,7 +407,7 @@ impl PureComm {
                 .count() as u64
         };
         let size = self.size() as u64;
-        self.local.ssw_op("agree gate", None, None, || {
+        self.local.ssw_op(WaitOp::AgreeGate, None, None, || {
             (cell.arrived.load(Ordering::Acquire) + dead_members(&shared) >= size).then_some(())
         });
 
@@ -430,7 +449,7 @@ impl PureComm {
                 }
             }
         }
-        self.local.cur_comm.set(self.meta.id);
+        self.enter_comm();
 
         Ok(self
             .meta
@@ -531,12 +550,21 @@ mod tests {
     #[test]
     fn tag_base_alloc_is_disjoint_and_stable() {
         let mut alloc = TagBaseAlloc::default();
-        let first = alloc.base_for(7);
-        assert_eq!(alloc.base_for(7), first, "re-registration is idempotent");
+        let (first, flag) = alloc.base_for(7);
+        let (again, again_flag) = alloc.base_for(7);
+        assert_eq!(again, first, "re-registration is idempotent");
+        assert!(
+            Arc::ptr_eq(&flag, &again_flag),
+            "every handle of one comm id shares its revocation flag"
+        );
         let mut seen = std::collections::HashSet::new();
         seen.insert(first);
         for id in 0..1000u64 {
-            let b = alloc.base_for(mix64(id));
+            let (b, other) = alloc.base_for(mix64(id));
+            assert!(
+                !Arc::ptr_eq(&flag, &other),
+                "comm {id} shares comm 7's flag"
+            );
             assert!(seen.insert(b), "base {b:#x} assigned twice");
             assert_eq!(b & 0xFF, 0, "each base owns a full 256-tag window");
         }

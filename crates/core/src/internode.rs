@@ -27,7 +27,7 @@ use netsim::{FrameSlice, WireTag};
 
 use crate::datatype::{as_bytes, as_bytes_mut, PureDatatype, ReduceOp, Reducible};
 use crate::error::{die_invariant, PureError, PureResult};
-use crate::runtime::RankLocal;
+use crate::runtime::{RankLocal, WaitOp};
 
 /// Inter-node algorithm family for the leader phase of one communicator.
 ///
@@ -231,7 +231,7 @@ impl LeaderGroup<'_> {
     /// blocked on a *dead* peer's frame mid-collective unwinds with a
     /// structured verdict in bounded time — followers are never stranded by
     /// a dead leader.
-    fn recv_frame(&self, src: LeaderInfo, tag: WireTag, what: &'static str) -> FrameSlice {
+    fn recv_frame(&self, src: LeaderInfo, tag: WireTag, what: WaitOp) -> FrameSlice {
         self.recv_frame_result(src, tag, what)
             .unwrap_or_else(|e| self.local.escalate(e))
     }
@@ -243,7 +243,7 @@ impl LeaderGroup<'_> {
         &self,
         src: LeaderInfo,
         tag: WireTag,
-        what: &'static str,
+        what: WaitOp,
     ) -> PureResult<FrameSlice> {
         let l = self.local;
         l.ssw_wait(
@@ -265,7 +265,7 @@ impl LeaderGroup<'_> {
     /// frame — the caller's copy into the user buffer is the only
     /// wire→user copy. Rendezvous bodies are reassembled into an owned
     /// `Vec` (the large, already-chunked path).
-    fn recv_wire(&self, src: LeaderInfo, tag: WireTag, what: &'static str) -> WirePayload {
+    fn recv_wire(&self, src: LeaderInfo, tag: WireTag, what: WaitOp) -> WirePayload {
         let first = self.recv_frame(src, tag, what);
         match first.first() {
             Some(&FRAME_EAGER) => WirePayload::Eager(first.slice_from(1)),
@@ -289,7 +289,7 @@ impl LeaderGroup<'_> {
         let src = self.nodes[src_pos];
         let me = self.nodes[self.my_pos];
         let tag = WireTag::collective(src.leader_local, me.leader_local, self.tag_base + phase);
-        let payload = self.recv_wire(src, tag, "leader collective");
+        let payload = self.recv_wire(src, tag, WaitOp::LeaderCollective);
         let ob = as_bytes_mut(out);
         if payload.len() != ob.len() {
             self.local.escalate(PureError::Truncation {
@@ -315,7 +315,8 @@ impl LeaderGroup<'_> {
         let src = self.nodes[src_pos];
         let me = self.nodes[self.my_pos];
         let tag = WireTag::collective(src.leader_local, me.leader_local, self.tag_base + phase);
-        self.recv_wire(src, tag, "leader block exchange").into_vec()
+        self.recv_wire(src, tag, WaitOp::LeaderBlockExchange)
+            .into_vec()
     }
 
     /// Fallible single-eager-frame receive for the survivor-agreement
@@ -327,7 +328,7 @@ impl LeaderGroup<'_> {
         let src = self.nodes[src_pos];
         let me = self.nodes[self.my_pos];
         let tag = WireTag::collective(src.leader_local, me.leader_local, self.tag_base + phase);
-        let frame = self.recv_frame_result(src, tag, "survivor agreement")?;
+        let frame = self.recv_frame_result(src, tag, WaitOp::SurvivorAgreement)?;
         match frame.first() {
             // Cold path (tokens are rare and tiny): own the bytes so the
             // agreement protocol can hold them across retries.

@@ -11,15 +11,14 @@
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::api::CommRequest;
-use crate::channel::{CancelOutcome, Channel, ChannelKey, RecvOverrun};
+use crate::channel::{CancelOutcome, ChannelKey, RecvOverrun};
 use crate::comm::PureComm;
 use crate::datatype::PureDatatype;
 use crate::error::{PureError, PureResult};
-use crate::runtime::{RankLocal, Tag, WaitPeers, INTERNAL_TAG_BASE};
+use crate::runtime::{ChannelHandle, RankLocal, Tag, WaitOp, WaitPeers, INTERNAL_TAG_BASE};
 use crate::telemetry;
 
 /// Escalate a channel-layer receive overrun as a structured truncation
@@ -86,7 +85,7 @@ impl PureComm {
             // SAFETY: as above.
             let seq = unsafe { ch.post_send(&self.local.ep, buf.as_ptr().cast(), bytes) };
             let peer = self.meta.members[dst] as usize;
-            self.local.ssw_op("send", Some(peer), Some(tag), || {
+            self.local.ssw_op(WaitOp::Send, Some(peer), Some(tag), || {
                 ch.try_flush_sends(&self.local.ep, seq + 1).then_some(())
             });
         }
@@ -126,7 +125,7 @@ impl PureComm {
         let seq = unsafe { ch.post_send(&self.local.ep, buf.as_ptr().cast(), bytes) };
         let waited = self
             .local
-            .ssw_try_op("send", Some(peer), Some(tag), timeout, || {
+            .ssw_try_op(WaitOp::Send, Some(peer), Some(tag), timeout, || {
                 ch.try_flush_sends(&self.local.ep, seq + 1).then_some(())
             });
         match waited {
@@ -142,7 +141,7 @@ impl PureComm {
                 }
                 CancelOutcome::InFlight => {
                     self.local
-                        .ssw_op("send (unwithdrawable)", Some(peer), Some(tag), || {
+                        .ssw_op(WaitOp::SendUnwithdrawable, Some(peer), Some(tag), || {
                             ch.try_flush_sends(&self.local.ep, seq + 1).then_some(())
                         });
                     self.local.count_sent(bytes);
@@ -182,7 +181,7 @@ impl PureComm {
         if !now {
             // SAFETY: as above.
             let seq = unsafe { ch.post_recv(buf.as_mut_ptr().cast(), bytes) };
-            self.local.ssw_op("recv", Some(peer), Some(tag), || {
+            self.local.ssw_op(WaitOp::Recv, Some(peer), Some(tag), || {
                 ch.try_complete_recvs(&self.local.ep, seq + 1)
                     .unwrap_or_else(fail)
                     .then_some(())
@@ -226,7 +225,7 @@ impl PureComm {
         let seq = unsafe { ch.post_recv(buf.as_mut_ptr().cast(), bytes) };
         let waited = self
             .local
-            .ssw_try_op("recv", Some(peer), Some(tag), timeout, || {
+            .ssw_try_op(WaitOp::Recv, Some(peer), Some(tag), timeout, || {
                 ch.try_complete_recvs(&self.local.ep, seq + 1)
                     .unwrap_or_else(fail)
                     .then_some(())
@@ -246,7 +245,7 @@ impl PureComm {
                 // about to finish, so completing it is bounded.
                 CancelOutcome::InFlight => {
                     self.local
-                        .ssw_op("recv (finishing)", Some(peer), Some(tag), || {
+                        .ssw_op(WaitOp::RecvFinishing, Some(peer), Some(tag), || {
                             ch.try_complete_recvs(&self.local.ep, seq + 1)
                                 .unwrap_or_else(fail)
                                 .then_some(())
@@ -352,7 +351,7 @@ enum ReqKind {
 /// on drop, which blocks — a dropped request is an application bug in MPI;
 /// here it is merely a blocking no-op).
 pub struct Request<'a> {
-    ch: Arc<Channel>,
+    ch: ChannelHandle,
     local: Rc<RankLocal>,
     upto: u64,
     kind: ReqKind,
@@ -415,13 +414,13 @@ impl Request<'_> {
         if self.done {
             return Ok(());
         }
-        let ch = Arc::clone(&self.ch);
+        let ch = Rc::clone(&self.ch);
         let local = Rc::clone(&self.local);
         let kind_send = matches!(self.kind, ReqKind::Send { .. });
         let op = if kind_send {
-            "isend wait"
+            WaitOp::IsendWait
         } else {
-            "irecv wait"
+            WaitOp::IrecvWait
         };
         let waited = local.ssw_try_op(op, Some(self.peer), Some(self.tag), timeout, || {
             self.poll().then_some(())
@@ -477,8 +476,8 @@ impl Request<'_> {
         }
         let local = Rc::clone(&self.local);
         let op = match self.kind {
-            ReqKind::Send { .. } => "isend wait",
-            ReqKind::Recv => "irecv wait",
+            ReqKind::Send { .. } => WaitOp::IsendWait,
+            ReqKind::Recv => WaitOp::IrecvWait,
         };
         local.ssw_op(op, Some(self.peer), Some(self.tag), || {
             self.poll().then_some(())
@@ -512,7 +511,7 @@ impl CommRequest for Request<'_> {
         let Some(local) = pending.borrow().first().map(|r| Rc::clone(&r.local)) else {
             return;
         };
-        local.ssw_op("wait_all", &pending, None, || {
+        local.ssw_op(WaitOp::WaitAll, &pending, None, || {
             let mut reqs = pending.borrow_mut();
             reqs.retain_mut(|r| {
                 let ready = r.poll();

@@ -9,9 +9,10 @@
 //! wherever the OS puts it and backs its spin loops with a yield after a
 //! configurable budget so oversubscribed runs stay live.
 
-use interleave::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crossbeam_utils::CachePadded;
+use interleave::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::channel::{Channel, ChannelFactoryCfg, ChannelKey, ChannelTable};
+use crate::channel::{Channel, ChannelFactoryCfg, ChannelKey, ChannelTable, KeyHasher};
 use crate::collectives::CollArea;
 use crate::comm::{CommMeta, PureComm, TagBaseAlloc};
 use crate::error::{payload_message, AbortCause, CrashStop, PeerAbortEcho, PureError, PureResult};
@@ -300,9 +301,7 @@ pub struct RankStats {
     pub msgs_recvd: u64,
     /// Collective operations entered.
     pub collectives: u64,
-    /// Successful steal attempts.
-    pub steals: u64,
-    /// Chunks executed as a thief.
+    /// Chunks executed as a thief (one per successful steal).
     pub chunks_stolen: u64,
     /// Chunks executed as the owning rank.
     pub chunks_owned: u64,
@@ -330,27 +329,73 @@ pub struct LaunchReport {
 }
 
 impl LaunchReport {
-    /// Total steals across ranks.
-    pub fn total_steals(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.steals).sum()
-    }
-
     /// Total chunks executed by thieves.
     pub fn total_chunks_stolen(&self) -> u64 {
         self.per_rank.iter().map(|r| r.chunks_stolen).sum()
     }
 }
 
+/// Declares [`WaitOp`] from one `Variant => "label"` list, so a label can
+/// never drift from the variant that names it.
+macro_rules! wait_ops {
+    ($($name:ident => $label:literal,)*) => {
+        /// What a blocked rank waits for: one variant per blocking wait of
+        /// the runtime. A `u8`, so [`RankHealth`] publishes it with one
+        /// lock-free store; [`WaitOp::label`] is what the diagnostic dump,
+        /// the watchdog and every wait error print.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub(crate) enum WaitOp {
+            $($name,)*
+        }
+
+        impl WaitOp {
+            const LABELS: &'static [&'static str] = &[$($label),*];
+        }
+    };
+}
+
+wait_ops! {
+    Send => "send",
+    SendUnwithdrawable => "send (unwithdrawable)",
+    Recv => "recv",
+    RecvFinishing => "recv (finishing)",
+    IsendWait => "isend wait",
+    IrecvWait => "irecv wait",
+    WaitAll => "wait_all",
+    CollArrivals => "collective arrivals",
+    CollLeaderResult => "collective leader result",
+    CollDoneBackedges => "collective done backedges",
+    ReducerScratch => "reducer scratch",
+    BcastPayload => "bcast payload",
+    AgreeGate => "agree gate",
+    LeaderCollective => "leader collective",
+    LeaderBlockExchange => "leader block exchange",
+    SurvivorAgreement => "survivor agreement",
+}
+
+impl WaitOp {
+    /// The label printed for this wait.
+    pub(crate) fn label(self) -> &'static str {
+        Self::LABELS[self as usize]
+    }
+}
+
 /// Per-rank liveness record for the progress watchdog and diagnostic dump.
-/// Written only in robust mode (deadline or fault injection armed), so the
-/// default hot paths never touch it.
+/// Written only in robust mode (deadline or fault injection armed), and
+/// only by a wait that has to yield: a wait stamps it at its first interrupt
+/// probe (the 64th fruitless poll), so a wait the peer satisfies sooner
+/// writes nothing. Each rank's record sits on its own cache line
+/// ([`Shared::health`]), so stamping never touches a line a peer writes.
 pub(crate) struct RankHealth {
-    /// Last time this rank completed a blocking wait (ns since launch birth).
+    /// When the last wait that had to yield finished (ns since launch
+    /// birth, `0` = no wait has yielded yet).
     pub hb_ns: AtomicU64,
-    /// When the current blocking wait began (ns, `0` = not waiting).
+    /// When the current wait reached its first probe (ns, `0` = not in a
+    /// yielding wait). Stored with `Release` after `wait_op`.
     pub wait_since_ns: AtomicU64,
-    /// Label of the wait the rank is currently in.
-    pub wait_op: Mutex<&'static str>,
+    /// [`WaitOp`] of the wait stamped in `wait_since_ns`.
+    pub wait_op: AtomicU8,
 }
 
 impl RankHealth {
@@ -358,8 +403,16 @@ impl RankHealth {
         Self {
             hb_ns: AtomicU64::new(0),
             wait_since_ns: AtomicU64::new(0),
-            wait_op: Mutex::new("-"),
+            wait_op: AtomicU8::new(0),
         }
+    }
+
+    /// The rank's current yielding wait: its label and when it reached its
+    /// first probe, or `None` when the rank is not in one.
+    fn waiting(&self) -> Option<(&'static str, u64)> {
+        let since = self.wait_since_ns.load(Ordering::Acquire);
+        let op = WaitOp::LABELS[self.wait_op.load(Ordering::Relaxed) as usize];
+        (since != 0).then_some((op, since))
     }
 }
 
@@ -395,15 +448,10 @@ pub(crate) struct Shared {
     /// a disjoint 256-tag window, assigned at registration (split) time, so
     /// wire tags of distinct live communicators can never collide.
     pub tag_bases: Mutex<TagBaseAlloc>,
-    /// Per-rank liveness, indexed by rank.
-    pub health: Vec<RankHealth>,
+    /// Per-rank liveness, indexed by rank, one cache line each.
+    pub health: Vec<CachePadded<RankHealth>>,
     /// First fatal failure of the launch (echoes never displace a primary).
     pub abort_cause: Mutex<Option<AbortCause>>,
-    /// Revoked communicator ids (ULFM-style [`crate::PureComm::revoke`]).
-    pub revoked: Mutex<HashSet<u64>>,
-    /// Fast-path flag: true once any communicator has been revoked, so the
-    /// per-wait probe is a single relaxed load until a revocation exists.
-    pub any_revoked: AtomicBool,
     /// Ranks that crash-stopped (injected [`RankFaults::crash_at`]).
     pub crashed: Mutex<Vec<usize>>,
     /// Per-`(comm id, agree round)` rendezvous state for
@@ -466,19 +514,6 @@ impl Shared {
         }
     }
 
-    /// Poison communicator `id` launch-wide: pending and future operations
-    /// on it observe [`PureError::Revoked`].
-    pub fn revoke_comm(&self, id: u64) {
-        self.revoked.lock().insert(id);
-        self.any_revoked.store(true, Ordering::Release);
-    }
-
-    /// True when comm `id` has been revoked. Callers should gate on
-    /// [`Shared::any_revoked`] first (this takes the registry lock).
-    pub fn is_revoked(&self, id: u64) -> bool {
-        self.revoked.lock().contains(&id)
-    }
-
     /// Fetch or create the rendezvous cell of agree round `round` on comm
     /// `comm` (see [`AgreeCell`]).
     pub fn agree_cell(&self, comm: u64, round: u64) -> Arc<AgreeCell> {
@@ -533,27 +568,25 @@ impl Shared {
         );
         for (r, h) in self.health.iter().enumerate() {
             let hb = h.hb_ns.load(Ordering::Relaxed);
-            let ws = h.wait_since_ns.load(Ordering::Relaxed);
-            let op = h.wait_op.try_lock().map_or("?", |g| *g);
             let _ = write!(
                 out,
                 "rank {r:3} (node {}, thread {}): ",
                 self.rank_node[r], self.rank_local[r]
             );
-            if ws != 0 {
+            if let Some((op, since)) = h.waiting() {
                 let _ = writeln!(
                     out,
                     "WAITING {:>10.3}ms in {op}",
-                    now.saturating_sub(ws) as f64 / 1e6
+                    now.saturating_sub(since) as f64 / 1e6
                 );
             } else if hb != 0 {
                 let _ = writeln!(
                     out,
-                    "running (last wait finished {:.3}ms ago)",
+                    "running (last yielding wait finished {:.3}ms ago)",
                     now.saturating_sub(hb) as f64 / 1e6
                 );
             } else {
-                let _ = writeln!(out, "running (never blocked)");
+                let _ = writeln!(out, "running (no wait has yielded)");
             }
         }
         let (n_chans, occupied) = self.channels.occupancy_summary();
@@ -647,6 +680,13 @@ impl WaitPeers for Option<usize> {
     }
 }
 
+/// A rank's private handle on a channel: an `Rc` around the node-shared
+/// `Arc<Channel>`. Cloning it for a message, a [`crate::Request`] or the
+/// pending-send list bumps a count only this rank's thread touches; the
+/// shared `Arc` count is written once, when the rank first looks the
+/// channel up.
+pub(crate) type ChannelHandle = Rc<Arc<Channel>>;
+
 /// Per-rank runtime state (thread-local by construction; not `Send`).
 pub(crate) struct RankLocal {
     pub rank: usize,
@@ -656,11 +696,11 @@ pub(crate) struct RankLocal {
     pub sched: Arc<NodeScheduler>,
     pub ep: NodeEndpoint,
     pub steal: RefCell<StealCtx>,
-    pub chan_cache: RefCell<HashMap<ChannelKey, Arc<Channel>>>,
+    pub chan_cache: RefCell<HashMap<ChannelKey, ChannelHandle, KeyHasher>>,
     /// Channels with sends this rank posted but could not yet flush; the
     /// SSW-Loop drains them (an MPI-style progress engine: a rank blocked
     /// receiving still completes its own outgoing traffic).
-    pub pending_sends: RefCell<Vec<Arc<Channel>>>,
+    pub pending_sends: RefCell<Vec<ChannelHandle>>,
     pub msgs_sent: Cell<u64>,
     pub bytes_sent: Cell<u64>,
     pub msgs_recvd: Cell<u64>,
@@ -685,17 +725,19 @@ pub(crate) struct RankLocal {
     /// True when the crash-stop failure detector is armed on a multi-node
     /// cluster: every SSW wait installs the peer-death probe.
     pub detect_active: bool,
-    /// Communicator id of the operation this rank is currently inside
-    /// (`0` = none); lets the revocation probe poison the right waits.
-    pub cur_comm: Cell<u64>,
+    /// Communicator of the operation this rank is currently inside
+    /// (`None` inside [`crate::PureComm::agree`], which revocation must
+    /// not stop); the revocation probe loads only this comm's flag.
+    pub cur_comm: RefCell<Option<Arc<CommMeta>>>,
 }
 
 impl RankLocal {
     /// Channel lookup with a rank-local cache in front of the global table
-    /// (the paper's persistent-channel reuse).
-    pub fn channel(&self, key: ChannelKey) -> Arc<Channel> {
+    /// (the paper's persistent-channel reuse). A hit writes no cache line
+    /// the peer rank touches (see [`ChannelHandle`]).
+    pub fn channel(&self, key: ChannelKey) -> ChannelHandle {
         if let Some(ch) = self.chan_cache.borrow().get(&key) {
-            return Arc::clone(ch);
+            return Rc::clone(ch);
         }
         let s = &self.shared;
         let (sn, dn) = (s.rank_node[key.src as usize], s.rank_node[key.dst as usize]);
@@ -703,8 +745,8 @@ impl RankLocal {
             s.rank_local[key.src as usize],
             s.rank_local[key.dst as usize],
         );
-        let ch = s.channels.get_or_create(key, &s.chan_cfg, sn, dn, sl, dl);
-        self.chan_cache.borrow_mut().insert(key, Arc::clone(&ch));
+        let ch = Rc::new(s.channels.get_or_create(key, &s.chan_cfg, sn, dn, sl, dl));
+        self.chan_cache.borrow_mut().insert(key, Rc::clone(&ch));
         ch
     }
 
@@ -720,10 +762,10 @@ impl RankLocal {
     }
 
     /// Remember a channel with unfinished sends for background progress.
-    pub fn note_pending_send(&self, ch: &Arc<Channel>) {
+    pub fn note_pending_send(&self, ch: &ChannelHandle) {
         let mut v = self.pending_sends.borrow_mut();
-        if !v.iter().any(|c| Arc::ptr_eq(c, ch)) {
-            v.push(Arc::clone(ch));
+        if !v.iter().any(|c| Rc::ptr_eq(c, ch)) {
+            v.push(Rc::clone(ch));
         }
     }
 
@@ -744,7 +786,7 @@ impl RankLocal {
     /// `op`/`peers`/`tag` label the wait for the diagnostic dump and error.
     pub fn ssw_op<T>(
         &self,
-        op: &'static str,
+        op: WaitOp,
         peers: impl WaitPeers,
         tag: Option<Tag>,
         poll: impl FnMut() -> Option<T>,
@@ -761,7 +803,7 @@ impl RankLocal {
     /// communicator is always returned (revocation exists to be handled).
     pub fn ssw_try_op<T>(
         &self,
-        op: &'static str,
+        op: WaitOp,
         peer: Option<usize>,
         tag: Option<Tag>,
         deadline: Duration,
@@ -804,10 +846,9 @@ impl RankLocal {
     /// on a condemned node fires, so survivors keep operating among
     /// themselves.
     fn wait_probe(&self, peers: &impl WaitPeers) -> Option<WaitInterrupt> {
-        if self.shared.any_revoked.load(Ordering::Acquire) {
-            let c = self.cur_comm.get();
-            if c != 0 && self.shared.is_revoked(c) {
-                return Some(WaitInterrupt::Revoked { comm: c });
+        if let Some(c) = &*self.cur_comm.borrow() {
+            if c.revoked.load(Ordering::Acquire) {
+                return Some(WaitInterrupt::Revoked { comm: c.id });
             }
         }
         if self.detect_active {
@@ -831,7 +872,7 @@ impl RankLocal {
 
     /// The one SSW wait every blocked rank runs (p2p, requests and their
     /// batches, collectives, and the leaders' cross-node waits): health
-    /// bookkeeping around the interruptible loop, then the one translation
+    /// bookkeeping in the interruptible loop, then the one translation
     /// of an interrupt into a [`PureError`]. A peer abort never returns —
     /// the launch is already dying, so it unwinds as an echo; every other
     /// interrupt comes back for the caller's policy (escalate, return, or
@@ -847,26 +888,36 @@ impl RankLocal {
     /// waiting for is often the reply to one sitting in that batch. This
     /// holds whatever the wait polls, an intra-node queue after a cross-node
     /// `isend` included; a rank with nothing buffered pays one relaxed load.
+    ///
+    /// In robust mode the wait stamps this rank's [`RankHealth`] at its
+    /// first probe, where `ssw_loop` also starts the deadline clock, and
+    /// clears it on exit. A wait satisfied before its 64th fruitless poll
+    /// therefore reads no clock and writes no shared line: the watchdog
+    /// only looks at waits far older than that.
     pub(crate) fn ssw_wait<T>(
         &self,
-        op: &'static str,
+        op: WaitOp,
         peers: impl WaitPeers,
         tag: Option<Tag>,
         deadline: Option<Duration>,
         mut poll: impl FnMut() -> Option<T>,
     ) -> PureResult<T> {
-        let robust = self.shared.robust;
-        if robust {
-            let h = &self.shared.health[self.rank];
-            *h.wait_op.lock() = op;
-            h.wait_since_ns
-                .store(self.shared.now_ns(), Ordering::Relaxed);
-        }
+        let health = self.shared.robust.then(|| &self.shared.health[self.rank]);
+        let stamped = Cell::new(false);
         let res = ssw_loop(
             &self.sched,
             &self.steal,
             deadline,
-            || self.wait_probe(&peers),
+            || {
+                if let Some(h) = health {
+                    if !stamped.replace(true) {
+                        h.wait_op.store(op as u8, Ordering::Relaxed);
+                        h.wait_since_ns
+                            .store(self.shared.now_ns(), Ordering::Release);
+                    }
+                }
+                self.wait_probe(&peers)
+            },
             || {
                 self.progress_sends();
                 if let Some(v) = poll() {
@@ -899,12 +950,12 @@ impl RankLocal {
                 None
             },
         );
-        if robust {
-            let h = &self.shared.health[self.rank];
+        if let Some(h) = health.filter(|_| stamped.get()) {
             h.hb_ns.store(self.shared.now_ns(), Ordering::Relaxed);
             h.wait_since_ns.store(0, Ordering::Relaxed);
         }
         let rank = self.rank;
+        let op = op.label();
         res.map_err(|why| match why {
             WaitInterrupt::Aborted => self.escalate(PureError::PeerAborted { rank, op }),
             WaitInterrupt::TimedOut(elapsed) => PureError::Timeout {
@@ -1067,7 +1118,6 @@ impl RankLocal {
             bytes_sent: self.bytes_sent.get(),
             msgs_recvd: self.msgs_recvd.get(),
             collectives: self.collectives.get(),
-            steals: s.steals,
             chunks_stolen: s.chunks_stolen,
             chunks_owned: s.chunks_owned,
         }
@@ -1294,10 +1344,10 @@ where
         scheds,
         rank_node,
         rank_local,
-        health: (0..cfg.ranks).map(|_| RankHealth::new()).collect(),
+        health: (0..cfg.ranks)
+            .map(|_| CachePadded::new(RankHealth::new()))
+            .collect(),
         abort_cause: Mutex::new(None),
-        revoked: Mutex::new(HashSet::new()),
-        any_revoked: AtomicBool::new(false),
         crashed: Mutex::new(Vec::new()),
         agree_cells: Mutex::new(HashMap::new()),
         live_ranks: AtomicU64::new(cfg.ranks as u64),
@@ -1350,7 +1400,7 @@ where
                         shared.rank_local[rank],
                         shared.cfg.seed ^ (rank as u64).wrapping_mul(0xD129_0A5B),
                     )),
-                    chan_cache: RefCell::new(HashMap::new()),
+                    chan_cache: RefCell::new(HashMap::default()),
                     pending_sends: RefCell::new(Vec::new()),
                     msgs_sent: Cell::new(0),
                     bytes_sent: Cell::new(0),
@@ -1362,7 +1412,7 @@ where
                     net_tick_shift: Cell::new(NET_TICK_SHIFT_MIN),
                     net_tick_ns: Cell::new(0),
                     detect_active,
-                    cur_comm: Cell::new(0),
+                    cur_comm: RefCell::new(None),
                     shared: Arc::clone(&shared),
                 });
                 let world = PureComm::from_meta(world_meta, Rc::clone(&local));
@@ -1423,11 +1473,12 @@ where
                     }
                     let now = shared.now_ns();
                     for (r, h) in shared.health.iter().enumerate() {
-                        let ws = h.wait_since_ns.load(Ordering::Relaxed);
-                        if ws == 0 || now.saturating_sub(ws) <= limit {
+                        let Some((op, ws)) = h.waiting() else {
+                            continue;
+                        };
+                        if now.saturating_sub(ws) <= limit {
                             continue;
                         }
-                        let op = h.wait_op.try_lock().map_or("?", |g| *g);
                         let err = PureError::Timeout {
                             rank: r,
                             op,
@@ -1454,7 +1505,7 @@ where
                 helper_handles.push(scope.spawn(move || {
                     let mut ctx = StealCtx::new(workers + h, seed);
                     sched.run_helper(&mut ctx);
-                    (ctx.steals, ctx.chunks_stolen)
+                    ctx.chunks_stolen
                 }));
             }
         }
@@ -1469,19 +1520,12 @@ where
         for s in &shared.scheds {
             s.shutdown_helpers();
         }
-        let mut helper_steals = (0u64, 0u64);
-        for h in helper_handles {
-            if let Ok((s, c)) = h.join() {
-                helper_steals.0 += s;
-                helper_steals.1 += c;
-            }
-        }
+        let helper_stolen: u64 = helper_handles
+            .into_iter()
+            .filter_map(|h| h.join().ok())
+            .sum();
         // Account helper work to rank 0's node entry so reports see it.
-        if helper_steals.0 > 0 {
-            let mut st = stats.lock();
-            st[0].steals += helper_steals.0;
-            st[0].chunks_stolen += helper_steals.1;
-        }
+        stats.lock()[0].chunks_stolen += helper_stolen;
     });
     let elapsed = start.elapsed();
 
@@ -1537,7 +1581,7 @@ mod tests {
         let report = launch(cfg, |ctx| {
             if ctx.rank() == 1 {
                 let t0 = Instant::now();
-                ctx.local.ssw_op("slow poll", None, None, || {
+                ctx.local.ssw_op(WaitOp::Recv, None, None, || {
                     std::thread::sleep(Duration::from_millis(2));
                     (t0.elapsed() >= Duration::from_millis(200)).then_some(())
                 });
@@ -1574,5 +1618,71 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// An armed wait the peer satisfies before its first probe (the 64th
+    /// fruitless poll) reads no clock and stamps nothing; one that reaches
+    /// the probe leaves a heartbeat and clears its wait stamp on exit.
+    #[test]
+    fn only_a_wait_that_reaches_its_first_probe_stamps_health() {
+        let cfg = Config::new(1).with_deadline(Duration::from_secs(20));
+        launch(cfg, |ctx| {
+            let h = &ctx.local.shared.health[ctx.rank()];
+            let stamps = || {
+                (
+                    h.hb_ns.load(Ordering::Relaxed),
+                    h.wait_since_ns.load(Ordering::Relaxed),
+                )
+            };
+            let wait_polls = |n: u32| {
+                let mut polls = 0;
+                ctx.local.ssw_op(WaitOp::Recv, None, None, || {
+                    polls += 1;
+                    (polls == n).then_some(())
+                });
+            };
+            wait_polls(64);
+            assert_eq!(stamps(), (0, 0), "a wait that never probed stamped");
+            wait_polls(65);
+            let (hb, since) = stamps();
+            assert!(hb > 0, "a wait that probed left no heartbeat");
+            assert_eq!(since, 0, "a finished wait is still marked waiting");
+        });
+    }
+
+    /// A hung armed recv is in the dump as `WAITING <age>ms in recv`: the
+    /// stamp lands at its first probe, so its age is measured from there.
+    #[test]
+    fn a_hung_recv_is_named_in_the_dump_with_its_age() {
+        let cfg = Config::new(2).with_deadline(Duration::from_secs(20));
+        launch(cfg, |ctx| {
+            let w = ctx.world();
+            if ctx.rank() == 0 {
+                let mut b = [0u8];
+                w.recv(&mut b, 1, 3);
+                assert_eq!(b, [9]);
+                return;
+            }
+            let t0 = Instant::now();
+            while ctx.local.shared.health[0].waiting().is_none() {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "rank 0 never stamped"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(30));
+            let dump = ctx.local.shared.dump_diagnostics();
+            let line = dump
+                .lines()
+                .find(|l| l.starts_with("rank   0"))
+                .unwrap_or_else(|| panic!("rank 0 missing from the dump:\n{dump}"));
+            let age: f64 = line
+                .split_once("WAITING")
+                .and_then(|(_, rest)| rest.trim().strip_suffix("ms in recv")?.parse().ok())
+                .unwrap_or_else(|| panic!("not a waiting recv: {line}"));
+            assert!(age >= 30.0, "age {age} ms is younger than the wait");
+            w.send(&[9u8], 0, 3);
+        });
     }
 }

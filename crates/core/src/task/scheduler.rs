@@ -47,9 +47,7 @@ pub struct StealCtx {
     pub rng: XorShift64,
     /// True while running a task chunk — blocks recursive stealing.
     pub in_task: bool,
-    /// Steal attempts that found and executed work.
-    pub steals: u64,
-    /// Chunks executed as a thief.
+    /// Chunks executed as a thief: one per successful steal attempt.
     pub chunks_stolen: u64,
     /// Chunks executed as an owner.
     pub chunks_owned: u64,
@@ -68,7 +66,6 @@ impl StealCtx {
             me,
             rng: XorShift64::new(seed ^ 0xA076_1D64_78BD_642F ^ (me as u64) << 17),
             in_task: false,
-            steals: 0,
             chunks_stolen: 0,
             chunks_owned: 0,
             attempt_tally: 0,
@@ -267,7 +264,6 @@ impl NodeScheduler {
         // SAFETY: claim succeeded for this generation.
         unsafe { self.run_chunk(slot, ctx, c) };
         slot.done.fetch_add(1, Ordering::Release);
-        ctx.steals += 1;
         ctx.chunks_stolen += 1;
         telemetry::count(Counter::Steal);
         // A successful steal is a natural sync point: flush the batched

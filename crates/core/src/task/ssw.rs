@@ -14,7 +14,8 @@
 //!
 //! `ssw_loop` is the one loop; every rank enters it through
 //! `RankLocal::ssw_wait`, which adds the health bookkeeping and turns an
-//! interrupt into a structured error.
+//! interrupt into a structured error. It is public only so that
+//! `tests/model_check.rs` can drive it.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -65,8 +66,11 @@ pub enum WaitInterrupt {
 /// *interrupt probe*.
 ///
 /// `probe` and the deadline are checked every 64 fruitless iterations, so
-/// the ready path and the spinning path stay free of clock reads; a wait can
-/// therefore overshoot its deadline by a few yields, never undershoot it.
+/// the ready path and the spinning path stay free of clock reads. The
+/// deadline clock starts at the first of those checks, not on entry: a wait
+/// satisfied within its first 64 polls never reads the clock, and a wait
+/// runs at least `deadline` past its first probe, so it can overshoot its
+/// deadline by 64 polls and a few yields, never undershoot it.
 /// The probe is how the crash-stop failure detector reaches every blocked
 /// wait: it asks the node's endpoint for condemned peers (or a revoked
 /// communicator), so a dead peer unwinds the wait in bounded time with a
@@ -75,7 +79,7 @@ pub enum WaitInterrupt {
 /// `steal_ctx` is this thread's stealing context; it is only borrowed for
 /// the duration of each SSW step, so `poll` may itself use rank-local state
 /// (but must not re-enter the scheduler).
-pub(crate) fn ssw_loop<T>(
+pub fn ssw_loop<T>(
     sched: &NodeScheduler,
     steal_ctx: &RefCell<StealCtx>,
     deadline: Option<Duration>,
@@ -84,7 +88,7 @@ pub(crate) fn ssw_loop<T>(
 ) -> Result<T, WaitInterrupt> {
     let mut spins = 0u32;
     let mut iters = 0u32;
-    let started = deadline.map(|_| Instant::now());
+    let mut started: Option<Instant> = None;
     let mut tally = SswTally {
         spins: 0,
         yields: 0,
@@ -101,10 +105,15 @@ pub(crate) fn ssw_loop<T>(
             if let Some(interrupt) = probe() {
                 return Err(interrupt);
             }
-            if let (Some(d), Some(t0)) = (deadline, started) {
-                let elapsed = t0.elapsed();
-                if elapsed >= d {
-                    return Err(WaitInterrupt::TimedOut(elapsed));
+            if let Some(d) = deadline {
+                match started {
+                    None => started = Some(Instant::now()),
+                    Some(t0) => {
+                        let elapsed = t0.elapsed();
+                        if elapsed >= d {
+                            return Err(WaitInterrupt::TimedOut(elapsed));
+                        }
+                    }
                 }
             }
         }
@@ -202,6 +211,26 @@ mod tests {
             || Some(11),
         );
         assert_eq!(r, Ok(11), "a ready poll wins over any pending interrupt");
+    }
+
+    /// The deadline clock starts at the first probe (the 64th fruitless
+    /// poll), so even a zero deadline cannot fire before the second one.
+    #[test]
+    fn deadline_clock_starts_at_the_first_probe() {
+        let s = sched();
+        let ctx = RefCell::new(StealCtx::new(0, 1));
+        let mut n = 0;
+        let r = ssw_loop(
+            &s,
+            &ctx,
+            Some(Duration::ZERO),
+            || None,
+            || {
+                n += 1;
+                (n > 100).then_some(n)
+            },
+        );
+        assert_eq!(r, Ok(101));
     }
 
     #[test]

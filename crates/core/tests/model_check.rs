@@ -388,6 +388,47 @@ fn scheduler_chunks_run_exactly_once_under_stealing() {
 }
 
 // ---------------------------------------------------------------------------
+// Revocation: a waiter on a revoked communicator always unwinds
+// ---------------------------------------------------------------------------
+
+/// `PureComm::revoke` against a rank blocked on that communicator, on the
+/// real `ssw_loop`. The revoker sets the comm's flag with a `Release` store,
+/// as `revoke` does. The waiter first makes the fail-fast check of
+/// `op_enter`, then blocks on a message the dead peer never sends, loading
+/// the flag with `Acquire` at every probe, as `wait_probe` does. On every
+/// schedule the waiter returns `Revoked`: it neither hangs nor misses the
+/// flag, whichever side of its entry check the store lands on.
+#[test]
+fn revoke_vs_wait_always_unwinds_the_waiter() {
+    use pure_core::task::ssw::{ssw_loop, WaitInterrupt};
+    use std::cell::RefCell;
+
+    const COMM: u64 = 0xC0;
+    let report = check(opts(4_000, 1_000), || {
+        let sched = NodeScheduler::new(2, 4);
+        let revoked = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&revoked);
+        let revoker = thread::spawn(move || flag.store(true, Ordering::Release));
+
+        let probe = || {
+            revoked
+                .load(Ordering::Acquire)
+                .then_some(WaitInterrupt::Revoked { comm: COMM })
+        };
+        let got = match probe() {
+            Some(at_entry) => Err(at_entry),
+            None => {
+                let steal = RefCell::new(StealCtx::new(0, 1));
+                ssw_loop(&sched, &steal, None, probe, || None::<()>)
+            }
+        };
+        revoker.join().unwrap();
+        assert_eq!(got, Err(WaitInterrupt::Revoked { comm: COMM }));
+    });
+    assert_clean(&report, 50);
+}
+
+// ---------------------------------------------------------------------------
 // Coalescing: the progress-engine flush / dispatch handoff loses nothing
 // ---------------------------------------------------------------------------
 

@@ -291,3 +291,91 @@ fn timeout_error_is_structured() {
         ctx.world().barrier();
     });
 }
+
+/// A recv whose own timeout is far off still cannot hang unseen: its wait
+/// is stamped at its first probe, and the watchdog names it by op.
+#[test]
+fn the_watchdog_names_a_hung_recv() {
+    let msg = panic_within_10s(|| {
+        let c = cfg(2).with_deadline(Duration::from_millis(100));
+        launch(c, |ctx| {
+            if ctx.rank() == 0 {
+                // Rank 1 never sends, and 60 s is far past the watchdog.
+                let mut b = [0u8];
+                let _ = ctx
+                    .world()
+                    .recv_timeout(&mut b, 1, 0, Duration::from_secs(60));
+            }
+        });
+    });
+    assert!(msg.contains("watchdog"), "the watchdog did not fire: {msg}");
+    assert!(
+        msg.contains("rank 0"),
+        "the waiting rank is not named: {msg}"
+    );
+    assert!(msg.contains("in recv"), "the hung op is not named: {msg}");
+}
+
+/// The deadline clock starts at a wait's first probe, never before the
+/// call: `recv_timeout(d)` returns `Timeout` only after `d` of wall time,
+/// armed launch or not.
+#[test]
+fn recv_timeout_never_fires_early() {
+    for armed in [false, true] {
+        let mut c = cfg(2);
+        if armed {
+            c = c.with_deadline(Duration::from_secs(20));
+        }
+        launch(c, |ctx| {
+            if ctx.rank() != 0 {
+                return;
+            }
+            for ms in [0, 1, 2, 5, 10, 25] {
+                let d = Duration::from_millis(ms);
+                let mut b = [0u8];
+                let t0 = std::time::Instant::now();
+                let err = ctx
+                    .world()
+                    .recv_timeout(&mut b, 1, 5, d)
+                    .expect_err("rank 1 never sends");
+                let waited = t0.elapsed();
+                assert!(waited >= d, "Timeout after {waited:?} < {d:?}: {err}");
+                match err {
+                    PureError::Timeout { elapsed, .. } => {
+                        assert!(elapsed >= d, "reported {elapsed:?} < {d:?}")
+                    }
+                    other => panic!("expected a timeout, got {other}"),
+                }
+            }
+        });
+    }
+}
+
+/// Revoking a communicator kicks a member blocked on it out with
+/// `Revoked`, fails every member's next operation on it at entry, and
+/// leaves the other communicators working.
+#[test]
+fn revoke_poisons_its_comm_and_spares_the_others() {
+    launch(cfg(2).with_deadline(Duration::from_secs(20)), |ctx| {
+        let w = ctx.world();
+        let sub = w.split(0, ctx.rank() as i64).expect("both ranks join");
+        let peer = 1 - ctx.rank();
+        let mut b = [0u8];
+        if ctx.rank() == 0 {
+            // Rank 1 never sends on `sub`; only the revocation ends this.
+            let err = sub
+                .recv_timeout(&mut b, peer, 4, Duration::from_secs(10))
+                .expect_err("the revocation must end the wait");
+            assert!(matches!(err, PureError::Revoked { .. }), "{err}");
+        } else {
+            std::thread::sleep(Duration::from_millis(20));
+            sub.revoke();
+        }
+        let err = sub
+            .recv_timeout(&mut b, peer, 5, Duration::from_secs(10))
+            .expect_err("a revoked comm fails at entry");
+        assert!(matches!(err, PureError::Revoked { .. }), "{err}");
+        w.barrier();
+        assert_eq!(w.allreduce_one(1u64, ReduceOp::Sum), 2);
+    });
+}

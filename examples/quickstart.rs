@@ -45,10 +45,9 @@ fn main() {
     let (rep_tasks, sums_tasks) =
         launch_map(cfg, |ctx| checksum(&rand_stencil(ctx.world(), &p, true)));
     println!(
-        "  with Pure Tasks      : {:>10.3?}  (chunks stolen: {}, steals: {})",
+        "  with Pure Tasks      : {:>10.3?}  (chunks stolen: {})",
         rep_tasks.elapsed,
-        rep_tasks.total_chunks_stolen(),
-        rep_tasks.total_steals()
+        rep_tasks.total_chunks_stolen()
     );
 
     assert_eq!(sums_plain, sums_tasks, "tasks must not change results");

@@ -28,7 +28,8 @@ count() {
 
 names=("non-test lines" "pub fn" "Mutex<" "unsafe")
 printf '%-12s %-16s %8s %9s %6s\n' crate count now DESIGN.md delta
-for pair in netsim:crates/netsim pure-core:crates/core mpi-baseline:crates/baseline; do
+for pair in netsim:crates/netsim pure-core:crates/core mpi-baseline:crates/baseline \
+    cluster-sim:crates/cluster-sim pure-bench:crates/bench; do
     crate="${pair%%:*}"
     read -r -a now <<<"$(count "${pair#*:}")"
     # The crate's row of the DESIGN.md table: | `crate` | a → b | a → b | ... |
