@@ -27,7 +27,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | `pure_allreduce` | [`crate::comm::PureComm::allreduce`] (SPTD ≤ [`crate::Config::small_coll_max`], Partitioned Reducer above) |
+//! | `pure_allreduce` | [`crate::comm::PureComm::allreduce`] (SPTD ≤ [`crate::Config::small_coll_max`]; above it the Partitioned Reducer, which on one node writes each reduced chunk straight into every member's output and across nodes reduces into the leader's scratch) |
 //! | `pure_reduce` | [`crate::comm::PureComm::reduce`] |
 //! | `pure_bcast` | [`crate::comm::PureComm::bcast`] |
 //! | `pure_barrier` | [`crate::comm::PureComm::barrier`] |

@@ -18,6 +18,13 @@
 //! 3. results are published with a release store of the round into
 //!    `leader_seq` / `bcast_seq` / per-member `done` and observed with
 //!    acquire loads.
+//!
+//! A reduction's result lands in one of two places. The small path and the
+//! large path of a group that spans nodes leave it in the leader's scratch,
+//! and every member copies it out after `leader_seq`. The large path on one
+//! node writes it straight into every member's output buffer, which the
+//! member reads after `leader_seq`: the leader publishes only after every
+//! member's `done` backedge, i.e. after the last write.
 
 use interleave::sync::atomic::Ordering;
 
@@ -27,11 +34,14 @@ use crate::runtime::WaitOp;
 use crate::telemetry::{self, Counter};
 use crate::util::cache::aligned_chunk_range;
 
+use super::sptd::reduce_published;
+
 /// What a member deposits in its dropbox when it arrives.
 enum Arrive<'a> {
     Nothing,
     Bytes(&'a [u8]),
-    Ptr(*const u8, usize),
+    /// Input pointer, output pointer (null: no result wanted), byte length.
+    Buffers(*const u8, *mut u8, usize),
 }
 
 impl PureComm {
@@ -56,7 +66,7 @@ impl PureComm {
             match payload {
                 Arrive::Nothing => {}
                 Arrive::Bytes(b) => me.write_bytes(b),
-                Arrive::Ptr(p, l) => me.write_ptr(p, l),
+                Arrive::Buffers(i, o, l) => me.write_buffers(i, o, l),
             }
         }
         me.publish_seq(r);
@@ -86,6 +96,21 @@ impl PureComm {
         self.local.ssw_op(WaitOp::CollLeaderResult, None, None, || {
             (self.area.leader_seq() >= r).then_some(())
         });
+    }
+
+    /// Finish reduction round `r`: wait for the leader's publication, then
+    /// copy the result out of scratch into `out` unless the round was
+    /// `small` or ran on one node, where the Partitioned Reducer wrote `out`
+    /// directly. Every member waits, with or without `out`: its published
+    /// buffers must stay valid until the leader has seen every `done`.
+    fn finish_reduction<T: Reducible>(&self, r: u64, small: bool, out: Option<&mut [T]>) {
+        self.wait_leader_seq(r);
+        if let Some(out) = out.filter(|_| small || self.multi_node()) {
+            // SAFETY: observed leader_seq >= r; scratch holds round r's
+            // result and is not mutated until all members arrive at a
+            // later round.
+            out.copy_from_slice(unsafe { self.area.scratch.as_slice::<T>(out.len()) });
+        }
     }
 
     /// Wait until every group member has published its `done` backedge for
@@ -136,42 +161,42 @@ impl PureComm {
         let _span = telemetry::span("allreduce");
         self.bump_collective_stat();
         let r = self.next_round();
-        let bytes = std::mem::size_of_val(input);
-        if bytes <= self.local.shared.cfg.small_coll_max {
+        let small = std::mem::size_of_val(input) <= self.local.shared.cfg.small_coll_max;
+        if small {
             self.reduce_small(r, input, op, None);
         } else {
-            self.reduce_large(r, input, op, None);
+            self.reduce_large(
+                r,
+                input.as_ptr(),
+                output.as_mut_ptr(),
+                input.len(),
+                op,
+                None,
+            );
         }
-        // Result fan-out: leader published `leader_seq = r` with the final
-        // value in scratch.
-        self.wait_leader_seq(r);
-        // SAFETY: observed leader_seq >= r; scratch holds round r's result
-        // and is not mutated until all members arrive at a later round.
-        output.copy_from_slice(unsafe { self.area.scratch.as_slice::<T>(input.len()) });
+        self.finish_reduction(r, small, Some(output));
     }
 
     /// In-place all-reduce (the `MPI_IN_PLACE` convenience): `buf` holds
     /// this rank's contribution on entry and the full reduction on exit.
     ///
     /// Runs the same round protocol as [`PureComm::allreduce`] with `buf`
-    /// serving as both input and output — no staging copy. Overwriting `buf`
-    /// only after `leader_seq` reaches this round is safe: the leader
-    /// publishes only after every member's `done` backedge (large path) or
-    /// after all dropbox payloads were combined (small path, where `buf` was
-    /// copied out at arrival), so no peer still reads `buf`.
+    /// serving as both input and output — no staging copy. On the small path
+    /// `buf` was copied into the dropbox at arrival, so overwriting it after
+    /// `leader_seq` is safe. On the large path each member reduces its chunk
+    /// of every input into a private tile before it writes that chunk of any
+    /// output, and no other member touches the chunk.
     pub fn allreduce_in_place<T: Reducible>(&self, buf: &mut [T], op: ReduceOp) {
         self.bump_collective_stat();
         let r = self.next_round();
-        let bytes = std::mem::size_of_val(buf);
-        if bytes <= self.local.shared.cfg.small_coll_max {
+        let small = std::mem::size_of_val(buf) <= self.local.shared.cfg.small_coll_max;
+        if small {
             self.reduce_small(r, buf, op, None);
         } else {
-            self.reduce_large(r, buf, op, None);
+            let p = buf.as_mut_ptr();
+            self.reduce_large(r, p, p, buf.len(), op, None);
         }
-        self.wait_leader_seq(r);
-        // SAFETY: observed leader_seq >= r; scratch holds round r's result
-        // and is not mutated until all members arrive at a later round.
-        buf.copy_from_slice(unsafe { self.area.scratch.as_slice::<T>(buf.len()) });
+        self.finish_reduction(r, small, Some(buf));
     }
 
     /// Reduce to `root` (comm rank). `output` is only written on the root;
@@ -193,24 +218,23 @@ impl PureComm {
             assert_eq!(input.len(), out.len(), "reduce buffer length mismatch");
         }
         let r = self.next_round();
-        let bytes = std::mem::size_of_val(input);
+        let small = std::mem::size_of_val(input) <= self.local.shared.cfg.small_coll_max;
         let root_node = self.meta.node_idx_of[root] as usize;
-        if bytes <= self.local.shared.cfg.small_coll_max {
+        let mut output = output.filter(|_| self.my_comm_rank == root);
+        if small {
             self.reduce_small(r, input, op, Some(root_node));
         } else {
-            self.reduce_large(r, input, op, Some(root_node));
+            let out = output
+                .as_deref_mut()
+                .map_or(std::ptr::null_mut(), <[T]>::as_mut_ptr);
+            self.reduce_large(r, input.as_ptr(), out, input.len(), op, Some(root_node));
         }
         // Everyone waits for its node leader's publication — not just the
         // root. This is what keeps dropbox payloads and published pointers
         // stable for the whole round: a member that raced ahead could
-        // otherwise overwrite its dropbox (at its next `arrive`) while the
-        // leader or a peer is still reading this round's contents.
-        self.wait_leader_seq(r);
-        if self.my_comm_rank == root {
-            let out = output.expect("checked above");
-            // SAFETY: observed leader_seq >= r on the root's node.
-            out.copy_from_slice(unsafe { self.area.scratch.as_slice::<T>(input.len()) });
-        }
+        // otherwise overwrite its dropbox (at its next `arrive`) or free its
+        // input while the leader or a peer is still reading it.
+        self.finish_reduction(r, small, output);
     }
 
     /// Intra-node flat-combining reduction (§4.2.1) + cross-node phase.
@@ -251,64 +275,59 @@ impl PureComm {
         }
     }
 
-    /// The Partitioned Reducer (§4.2.2, Figure 3): every member publishes a
-    /// pointer to its input, all members concurrently reduce disjoint
-    /// cacheline-aligned chunks of the output.
+    /// The Partitioned Reducer (§4.2.2, Figure 3): every member publishes
+    /// pointers to its input and output, and all members concurrently reduce
+    /// disjoint cacheline-aligned chunks. On one node each member writes its
+    /// reduced chunk straight into every published output (`output` null:
+    /// this member wants no result). A group that spans nodes reduces into
+    /// the leader's scratch instead — its leader sends one whole node result
+    /// across nodes — and its members copy the result out of scratch.
     fn reduce_large<T: Reducible>(
         &self,
         r: u64,
-        input: &[T],
+        input: *const T,
+        output: *mut T,
+        len: usize,
         op: ReduceOp,
         reduce_root_node: Option<usize>,
     ) {
         let g = self.group_len();
-        let len = input.len();
-        self.arrive(r, Arrive::Ptr(input.as_ptr().cast(), len));
-        if self.is_leader() {
-            self.wait_all_arrivals(r);
-            // SAFETY: all arrived ⇒ no reader of the previous scratch.
-            unsafe { self.area.scratch.ensure(std::mem::size_of_val(input)) };
-            self.area.scratch_ready.store(r, Ordering::Release);
-        } else {
-            self.wait_all_arrivals(r);
-            self.local.ssw_op(WaitOp::ReducerScratch, None, None, || {
-                (self.area.scratch_ready.load(Ordering::Acquire) >= r).then_some(())
-            });
+        let multi = self.multi_node();
+        let output = if multi { std::ptr::null_mut() } else { output };
+        let bytes = len * std::mem::size_of::<T>();
+        self.arrive(r, Arrive::Buffers(input.cast(), output.cast(), bytes));
+        self.wait_all_arrivals(r);
+        if multi {
+            if self.is_leader() {
+                // SAFETY: all arrived ⇒ no reader of the previous scratch.
+                unsafe { self.area.scratch.ensure(bytes) };
+                self.area.scratch_ready.store(r, Ordering::Release);
+            } else {
+                self.local.ssw_op(WaitOp::ReducerScratch, None, None, || {
+                    (self.area.scratch_ready.load(Ordering::Acquire) >= r).then_some(())
+                });
+            }
         }
 
-        // My cacheline-aligned chunk of the output, reduced straight from the
-        // published input pointers (no per-call pointer table allocation).
-        let range = aligned_chunk_range::<T>(
-            len,
-            self.my_group_pos as u32,
-            self.my_group_pos as u32 + 1,
-            g as u32,
-        );
-        if !range.is_empty() {
-            // SAFETY: members' ranges are pairwise disjoint by construction;
-            // scratch_ready >= r observed.
-            let out = unsafe { self.area.scratch.as_mut_range::<T>(range.clone()) };
-            for j in 0..g {
-                // SAFETY: arrival of j observed; the pointed-to input outlives
-                // the round (its owner is blocked in this collective until
-                // after all `done` backedges).
-                let (p, l) = unsafe { self.area.sptd[j].payload_as_ptr() };
-                debug_assert_eq!(l, len);
-                let inp = unsafe { std::slice::from_raw_parts(p.cast::<T>(), len) };
-                if j == 0 {
-                    out.copy_from_slice(&inp[range.clone()]);
-                } else {
-                    T::reduce_assign(op, out, &inp[range.clone()]);
-                }
-            }
+        let pos = self.my_group_pos as u32;
+        let range = aligned_chunk_range::<T>(len, pos, pos + 1, g as u32);
+        // SAFETY: every arrival observed, and every member's buffers outlive
+        // the round (each owner waits for `leader_seq`, published after all
+        // `done` backedges); members' ranges are pairwise disjoint, and
+        // scratch_ready >= r was observed before scratch is touched.
+        unsafe {
+            let scratch = multi.then(|| self.area.scratch.as_mut_range::<T>(range.clone()));
+            reduce_published(&self.area.sptd, range, op, scratch);
         }
         self.area.sptd[self.my_group_pos].set_done(r);
 
         if self.is_leader() {
             self.wait_all_done(r);
-            // SAFETY: all chunk writers finished (done backedges observed).
-            let acc = unsafe { self.area.scratch.as_mut_slice::<T>(len) };
-            self.cross_node_phase(acc, op, reduce_root_node);
+            if multi {
+                // SAFETY: all chunk writers finished (done backedges observed).
+                let acc = unsafe { self.area.scratch.as_mut_slice::<T>(len) };
+                self.cross_node_phase(acc, op, reduce_root_node);
+            }
             self.area.publish_leader(r);
         }
     }

@@ -1358,21 +1358,15 @@ where
     });
 
     let world_meta = Arc::new(CommMeta::world(&shared));
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..shared.cfg.ranks).map(|_| None).collect());
-    let stats: Mutex<Vec<RankStats>> = Mutex::new(vec![RankStats::default(); shared.cfg.ranks]);
-    let traces: Mutex<Vec<Vec<TraceEvent>>> = Mutex::new(vec![Vec::new(); shared.cfg.ranks]);
 
     let start = Instant::now();
     let watchdog_stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
+    let (results, mut stats, traces, helper_stolen) = std::thread::scope(|scope| {
         let mut rank_handles = Vec::with_capacity(shared.cfg.ranks);
         for rank in 0..shared.cfg.ranks {
             let shared = Arc::clone(&shared);
             let world_meta = Arc::clone(&world_meta);
             let f = &f;
-            let results = &results;
-            let stats = &stats;
-            let traces = &traces;
             rank_handles.push(scope.spawn(move || {
                 // Route this thread's telemetry to its rank's counter block
                 // and (when tracing is on) its private event ring.
@@ -1425,10 +1419,10 @@ where
                 // the exit keep-alive in `finalize_net` spins on the count,
                 // so every exiting path must drop its slot first.
                 shared.live_ranks.fetch_sub(1, Ordering::AcqRel);
-                match outcome {
+                let result = match outcome {
                     Ok(v) => {
                         local.finalize_net();
-                        results.lock()[rank] = Some(v);
+                        Some(v)
                     }
                     Err(e) if e.downcast_ref::<CrashStop>().is_some() => {
                         let cs = e.downcast_ref::<CrashStop>().unwrap();
@@ -1437,18 +1431,19 @@ where
                         // abort broadcast — no cause recorded, no flag
                         // raised. Survivors must *detect* the silence.
                         shared.crashed.lock().push(rank);
+                        None
                     }
                     Err(e) => {
                         let echo = e.downcast_ref::<PeerAbortEcho>().is_some();
                         shared.record_abort(rank, payload_message(&*e), echo);
                         shared.abort_all();
+                        None
                     }
-                }
-                stats.lock()[rank] = local.stats();
+                };
+                let stats = local.stats();
                 drop(tracer_guard);
-                if let Some(t) = tracer {
-                    traces.lock()[rank] = t.events_in_order();
-                }
+                let trace = tracer.map(|t| t.events_in_order()).unwrap_or_default();
+                (result, stats, trace)
             }));
         }
 
@@ -1510,8 +1505,14 @@ where
             }
         }
 
+        let mut results = Vec::with_capacity(rank_handles.len());
+        let mut stats = Vec::with_capacity(rank_handles.len());
+        let mut traces = Vec::with_capacity(rank_handles.len());
         for h in rank_handles {
-            let _ = h.join();
+            let (result, stat, trace) = h.join().unwrap_or_default();
+            results.push(result);
+            stats.push(stat);
+            traces.push(trace);
         }
         watchdog_stop.store(true, Ordering::Release);
         if let Some(w) = &watchdog {
@@ -1524,10 +1525,11 @@ where
             .into_iter()
             .filter_map(|h| h.join().ok())
             .sum();
-        // Account helper work to rank 0's node entry so reports see it.
-        stats.lock()[0].chunks_stolen += helper_stolen;
+        (results, stats, traces, helper_stolen)
     });
     let elapsed = start.elapsed();
+    // Account helper work to rank 0's node entry so reports see it.
+    stats[0].chunks_stolen += helper_stolen;
 
     // Re-raise the primary failure with the failing rank's identity. The
     // original panic message is embedded verbatim, so callers matching on
@@ -1549,14 +1551,14 @@ where
         c
     };
     let report = LaunchReport {
-        per_rank: stats.into_inner(),
+        per_rank: stats,
         net_traffic: shared.cluster.stats().snapshot(),
         net_faults: shared.cluster.stats().fault_snapshot(),
         elapsed,
         crashed,
-        stats: shared.runtime_stats(traces.into_inner()),
+        stats: shared.runtime_stats(traces),
     };
-    (report, results.into_inner())
+    (report, results)
 }
 
 #[cfg(test)]

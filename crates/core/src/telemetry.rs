@@ -88,7 +88,7 @@ counters! {
     EnvCancel => "env_cancel",
     /// Filled envelopes consumed by receivers.
     EnvConsume => "env_consume",
-    /// Collective rounds this rank arrived at (SPTD or shared-counter).
+    /// Collective rounds this rank arrived at (one SPTD arrival each).
     SptdRound => "sptd_round",
     /// Flat-combining folds performed as a leader (one per member payload).
     SptdLeaderCombine => "sptd_leader_combine",

@@ -14,8 +14,11 @@ use interleave::{check, thread, Options, Report};
 
 use pure_core::channel::envelope::EnvelopeQueue;
 use pure_core::channel::pbq::PureBufferQueue;
-use pure_core::collectives::sptd::Sptd;
+use pure_core::collectives::sptd::{reduce_published, Sptd};
+use pure_core::collectives::CollArea;
 use pure_core::task::scheduler::{NodeScheduler, StealCtx};
+use pure_core::util::cache::aligned_chunk_range;
+use pure_core::ReduceOp;
 
 fn opts(max_schedules: u64, random_schedules: u64) -> Options {
     Options {
@@ -171,6 +174,108 @@ fn sptd_rounds_publish_uncorrupted_payloads() {
 }
 
 // ---------------------------------------------------------------------------
+// Partitioned Reducer: members write reduced chunks into each other's output
+// ---------------------------------------------------------------------------
+
+/// Elements per member buffer: two cache lines of `u64`, one chunk each.
+const PR_LEN: usize = 16;
+
+/// Two members' input and output buffers. The checker cannot see writes
+/// through published pointers, so one `RaceZone` per output buffer stands
+/// in for it, one location per chunk.
+struct ReducerBuffers {
+    inputs: [[u64; PR_LEN]; 2],
+    outputs: [std::cell::UnsafeCell<[u64; PR_LEN]>; 2],
+    zones: [interleave::cell::RaceZone; 2],
+}
+
+// SAFETY: outputs are written only through the reducer's round protocol,
+// which the zones let the checker verify.
+unsafe impl Sync for ReducerBuffers {}
+
+/// One large-reduction round on the real dropboxes and `leader_seq`, as
+/// `reduce_large` runs it on one node: member `me` publishes its (input,
+/// output), waits for both arrivals, reduces its chunk into both outputs
+/// with `reduce_published`, and sets `done`; member 0, the leader, then
+/// waits for both backedges and publishes `leader_seq`. A member reads its
+/// output after `leader_seq` — or, with `early`, as soon as it is done.
+fn reducer_member(me: usize, early: bool, area: &CollArea, bufs: &ReducerBuffers) {
+    let input = bufs.inputs[me].as_ptr().cast::<u8>();
+    let output = bufs.outputs[me].get().cast::<u8>();
+    // SAFETY: first round of a fresh area; both buffers outlive the round.
+    unsafe { area.sptd[me].write_buffers(input, output, PR_LEN * 8) };
+    area.sptd[me].publish_seq(1);
+    while area.sptd[1 - me].seq() < 1 {
+        thread::yield_now();
+    }
+    let range = aligned_chunk_range::<u64>(PR_LEN, me as u32, me as u32 + 1, 2);
+    for zone in &bufs.zones {
+        zone.write(me);
+    }
+    // SAFETY: both arrivals observed; chunks are disjoint.
+    unsafe { reduce_published::<u64>(&area.sptd, range, ReduceOp::Sum, None) };
+    area.sptd[me].set_done(1);
+    if me == 0 {
+        while area.sptd[0].done() < 1 || area.sptd[1].done() < 1 {
+            thread::yield_now();
+        }
+        area.publish_leader(1);
+    }
+    if !early {
+        while area.leader_seq() < 1 {
+            thread::yield_now();
+        }
+    }
+    bufs.zones[me].read(0);
+    bufs.zones[me].read(1);
+    if !early {
+        // SAFETY: leader_seq >= 1 observed: every chunk writer is done.
+        let out = unsafe { *bufs.outputs[me].get() };
+        let want: Vec<u64> = (0..PR_LEN as u64).map(|i| 101 * i).collect();
+        assert_eq!(out[..], want[..], "member {me} read a partial result");
+    }
+}
+
+fn partitioned_reducer_round(early_reader: bool) -> Report {
+    check(opts(6_000, 1_500), move || {
+        let area = Arc::new(CollArea::new(2, 64));
+        let bufs = Arc::new(ReducerBuffers {
+            inputs: [
+                std::array::from_fn(|i| i as u64),
+                std::array::from_fn(|i| 100 * i as u64),
+            ],
+            outputs: Default::default(),
+            zones: [
+                interleave::cell::RaceZone::new(2),
+                interleave::cell::RaceZone::new(2),
+            ],
+        });
+        let (a, b) = (Arc::clone(&area), Arc::clone(&bufs));
+        let t = thread::spawn(move || reducer_member(1, early_reader, &a, &b));
+        reducer_member(0, false, &area, &bufs);
+        t.join().unwrap();
+    })
+}
+
+#[test]
+fn partitioned_reducer_writes_outputs_before_leader_seq() {
+    assert_clean(&partitioned_reducer_round(false), 1_500);
+}
+
+#[test]
+fn reading_output_before_leader_seq_is_caught() {
+    let report = partitioned_reducer_round(true);
+    let cex = report
+        .failure
+        .expect("a member reading its output before leader_seq must be caught");
+    assert!(
+        cex.message.contains("race"),
+        "expected a data-race report, got: {}",
+        cex.message
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Shrink-then-bcast handoff: stale parent rounds must not leak into the child
 // ---------------------------------------------------------------------------
 
@@ -188,8 +293,6 @@ fn sptd_rounds_publish_uncorrupted_payloads() {
 /// the parent's stale bytes.
 #[test]
 fn shrink_bcast_handoff_never_observes_stale_parent_round() {
-    use pure_core::collectives::CollArea;
-
     let report = check(opts(6_000, 1_500), || {
         let parent = Arc::new(CollArea::new(2, 64));
         let child = Arc::new(CollArea::new(2, 64));

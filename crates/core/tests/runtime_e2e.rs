@@ -181,6 +181,163 @@ fn reduce_to_each_root() {
     }
 }
 
+/// Rank `rank`'s element `i` for the large-path tests: different on every
+/// rank and element, so a chunk written to the wrong offset or a rank's
+/// input combined twice changes the result.
+fn contribution(rank: usize, i: usize) -> u64 {
+    ((rank * 7919 + i * 31) % 251) as u64
+}
+
+/// The serial fold of every rank's input in rank order, which is the
+/// combine order both reduction paths promise on one node.
+fn serial_fold<T: Reducible>(inputs: &[Vec<T>], op: ReduceOp) -> Vec<T> {
+    let mut acc = inputs[0].clone();
+    for inp in &inputs[1..] {
+        T::reduce_assign(op, &mut acc, inp);
+    }
+    acc
+}
+
+/// Out-of-place and in-place allreduce on the Partitioned Reducer path
+/// (above 2 KiB) must both give the serial fold of every rank's input.
+fn check_large_allreduce<T: Reducible + std::fmt::Debug>(
+    n: usize,
+    len: usize,
+    op: ReduceOp,
+    elem: fn(u64) -> T,
+) {
+    let inputs: Vec<Vec<T>> = (0..n)
+        .map(|r| (0..len).map(|i| elem(contribution(r, i))).collect())
+        .collect();
+    let want = serial_fold(&inputs, op);
+    launch(cfg(n), |ctx| {
+        let w = ctx.world();
+        let input = &inputs[ctx.rank()];
+        assert!(std::mem::size_of_val(&input[..]) > 2048);
+        let mut out = vec![elem(0); len];
+        w.allreduce(input, &mut out, op);
+        assert!(out == want, "{}: out-of-place result differs", T::NAME);
+        let mut inplace = input.clone();
+        w.allreduce_in_place(&mut inplace, op);
+        assert!(inplace == want, "{}: in-place result differs", T::NAME);
+    });
+}
+
+#[test]
+fn large_allreduce_odd_length_in_and_out_of_place() {
+    // 131 075 elements: not a multiple of the reducer's 4 KiB tile or of a
+    // cache line, for any of the three element sizes.
+    let len = 131_075;
+    check_large_allreduce::<f64>(5, len, ReduceOp::Sum, |x| x as f64);
+    check_large_allreduce::<f32>(5, len, ReduceOp::Max, |x| x as f32);
+    check_large_allreduce::<u8>(5, len, ReduceOp::Sum, |x| x as u8);
+}
+
+#[test]
+fn large_reduce_to_each_root_leaves_non_roots_untouched() {
+    let n = 5;
+    let len = 3_001;
+    let inputs: Vec<Vec<u64>> = (0..n)
+        .map(|r| (0..len).map(|i| contribution(r, i)).collect())
+        .collect();
+    let want = serial_fold(&inputs, ReduceOp::Sum);
+    for root in 0..n {
+        launch(cfg(n), |ctx| {
+            let w = ctx.world();
+            let me = ctx.rank();
+            let input = inputs[me].clone();
+            // A non-root may pass a buffer; it must not be written.
+            let mut out = vec![u64::MAX; len];
+            let pass_out = me == root || me % 2 == 1;
+            w.reduce(
+                &input,
+                pass_out.then_some(&mut out[..]),
+                root,
+                ReduceOp::Sum,
+            );
+            assert_eq!(input, inputs[me], "rank {me}: input written (root {root})");
+            if me == root {
+                assert!(out == want, "root {root}: wrong result");
+            } else {
+                assert!(
+                    out.iter().all(|&x| x == u64::MAX),
+                    "rank {me}: non-root output written (root {root})"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn large_f64_sum_is_bit_identical_to_rank_order_fold() {
+    let n = 5;
+    let len = 4_099;
+    // Magnitudes 10^-8 … 10^8 apart: floating-point addition is not
+    // associative here, so any other combine order changes some bits.
+    let inputs: Vec<Vec<f64>> = (0..n)
+        .map(|r| {
+            (0..len)
+                .map(|i| {
+                    let scale = 10f64.powi((r * 7 + i) as i32 % 17 - 8);
+                    (contribution(r, i) as f64 + 0.1) * scale
+                })
+                .collect()
+        })
+        .collect();
+    let want = serial_fold(&inputs, ReduceOp::Sum);
+    let mut reversed: Vec<Vec<f64>> = inputs.clone();
+    reversed.reverse();
+    assert!(
+        serial_fold(&reversed, ReduceOp::Sum)
+            .iter()
+            .zip(&want)
+            .any(|(a, b)| a.to_bits() != b.to_bits()),
+        "inputs too tame: the combine order does not show"
+    );
+    launch(cfg(n), |ctx| {
+        let w = ctx.world();
+        let mut out = vec![0.0f64; len];
+        w.allreduce(&inputs[ctx.rank()], &mut out, ReduceOp::Sum);
+        for (i, (a, b)) in out.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} != {b}");
+        }
+    });
+}
+
+#[test]
+fn large_allreduce_and_reduce_across_two_node_groups() {
+    // Two nodes of two ranks: the large path reduces into the leader's
+    // scratch, runs the cross-node phase and copies the result out.
+    let n = 4;
+    let len = 20_003;
+    let inputs: Vec<Vec<u64>> = (0..n)
+        .map(|r| (0..len).map(|i| contribution(r, i)).collect())
+        .collect();
+    let want = serial_fold(&inputs, ReduceOp::Sum);
+    launch(cfg_nodes(n, 2), |ctx| {
+        let w = ctx.world();
+        let me = ctx.rank();
+        let mut out = vec![0u64; len];
+        w.allreduce(&inputs[me], &mut out, ReduceOp::Sum);
+        assert!(out == want, "rank {me}: out-of-place result differs");
+        let mut inplace = inputs[me].clone();
+        w.allreduce_in_place(&mut inplace, ReduceOp::Sum);
+        assert!(inplace == want, "rank {me}: in-place result differs");
+        for root in 0..n {
+            let mut out = vec![u64::MAX; len];
+            w.reduce(
+                &inputs[me],
+                (me == root).then_some(&mut out[..]),
+                root,
+                ReduceOp::Sum,
+            );
+            if me == root {
+                assert!(out == want, "root {root}: wrong result");
+            }
+        }
+    });
+}
+
 #[test]
 fn bcast_small_and_large() {
     let n = 5;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Print each budgeted crate's design budget -- non-test source lines, `pub fn`s,
 # `Mutex<` sites and `unsafe` tokens -- next to the numbers recorded in
-# DESIGN.md ("Design budget"), with the delta. Informational: it never fails on
+# DESIGN.md ("Design budget"), with the delta. The wall-clock benchmark
+# package (`benchmark/src`, outside the workspace) is read, never written. Informational: it never fails on
 # a difference, so a PR that moves a number updates the table in the same
 # change.
 #
@@ -29,7 +30,7 @@ count() {
 names=("non-test lines" "pub fn" "Mutex<" "unsafe")
 printf '%-12s %-16s %8s %9s %6s\n' crate count now DESIGN.md delta
 for pair in netsim:crates/netsim pure-core:crates/core mpi-baseline:crates/baseline \
-    cluster-sim:crates/cluster-sim pure-bench:crates/bench; do
+    cluster-sim:crates/cluster-sim pure-bench:crates/bench benchmark:benchmark; do
     crate="${pair%%:*}"
     read -r -a now <<<"$(count "${pair#*:}")"
     # The crate's row of the DESIGN.md table: | `crate` | a → b | a → b | ... |

@@ -57,12 +57,20 @@ fn alloc_count() -> u64 {
 /// socket backlog buffer, a queue's capacity — can reach a new depth in any
 /// one window, because how far two endpoints run ahead of each other is the
 /// scheduler's choice; a per-message allocation lands in every window.
-fn quietest_window(mut window: impl FnMut()) -> u64 {
+fn quietest_window(window: impl FnMut()) -> u64 {
+    quietest_shared_window(window, |delta| delta)
+}
+
+/// [`quietest_window`] for a window that several threads run together, such
+/// as a collective: `agree` turns this thread's delta into one every
+/// participant sees (a max-allreduce, run outside the measured window), so
+/// all of them run the same number of windows.
+fn quietest_shared_window(mut window: impl FnMut(), mut agree: impl FnMut(u64) -> u64) -> u64 {
     let mut delta = u64::MAX;
     for _ in 0..5 {
         let before = alloc_count();
         window();
-        delta = delta.min(alloc_count() - before);
+        delta = delta.min(agree(alloc_count() - before));
         if delta == 0 {
             break;
         }
@@ -317,5 +325,41 @@ fn runtime_send_recv_fast_path_is_allocation_free() {
         deltas[0], 0,
         "{} allocations in 5k steady-state send/recv pairs",
         deltas[0]
+    );
+}
+
+/// The Partitioned Reducer on one node: a steady-state 1 MiB two-rank
+/// allreduce reduces through a stack tile straight into both outputs, so
+/// it allocates nothing — no per-call pointer table, no scratch growth.
+#[test]
+fn large_allreduce_steady_state_is_allocation_free() {
+    let mut cfg = Config::new(2);
+    cfg.spin_budget = 4;
+    let (_, deltas) = launch_map(cfg, |ctx| {
+        let w = ctx.world();
+        let input = vec![ctx.rank() as f64 + 1.0; 1 << 17];
+        let mut out = vec![0.0f64; 1 << 17];
+        let mut agree = |delta: u64| w.allreduce_one(delta, ReduceOp::Max);
+        // Warm-up: dropbox, SSW and telemetry state, and the agreement
+        // allreduce's own path.
+        for _ in 0..8 {
+            w.allreduce(&input, &mut out, ReduceOp::Sum);
+            agree(0);
+        }
+        let delta = quietest_shared_window(
+            || {
+                for _ in 0..50 {
+                    w.allreduce(&input, &mut out, ReduceOp::Sum);
+                }
+            },
+            &mut agree,
+        );
+        assert!(out.iter().all(|&x| x == 3.0));
+        delta
+    });
+    assert_eq!(
+        deltas,
+        [0, 0],
+        "allocations in every window of 50 steady-state 1 MiB allreduces"
     );
 }
