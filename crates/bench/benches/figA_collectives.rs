@@ -4,11 +4,9 @@
 //! which only accelerates 8 B payloads).
 
 use cluster_sim::workloads::micro::{collective_ns_per_op, collective_ns_per_op_with};
-use cluster_sim::{CollKind, CostModel, NetCollAlgo, SimRuntime};
+use cluster_sim::{CollKind, CostModel, NetCollAlgo, SimRuntime, HIER_CANDIDATES};
 use pure_bench::trajectory::{self, Figure};
 use pure_bench::{cell, header, row, speedup};
-use pure_core::tuner;
-use pure_core::InternodeAlgo;
 
 const CORES_PER_NODE: usize = 64;
 const ITERS: usize = 30;
@@ -61,22 +59,14 @@ fn table(kind: CollKind, title: &str, fig: &mut Figure) {
     }
 }
 
-/// The runtime's algorithm choice mapped onto the DES cost model's knob.
-fn net_algo(a: InternodeAlgo) -> NetCollAlgo {
-    match a {
-        InternodeAlgo::Flat => NetCollAlgo::Flat,
-        InternodeAlgo::Kary(k) => NetCollAlgo::Kary(k),
-        InternodeAlgo::Ring => NetCollAlgo::Ring,
-    }
-}
-
-/// Hierarchical leaders vs the flat exchange across payloads and scale;
-/// gate-asserts the crossover (hierarchical strictly faster at ≥ 4,096
-/// ranks for 8 B payloads) even under smoke mode.
+/// Hierarchical leaders (the fastest static shape in [`HIER_CANDIDATES`])
+/// vs the flat exchange across payloads and scale; gate-asserts the
+/// crossover (hierarchical strictly faster at ≥ 4,096 ranks for 8 B
+/// payloads) even under smoke mode.
 fn hier_table(fig: &mut Figure) {
     header(
-        "Appendix A — hierarchical leaders (all-reduce, tuned vs flat)",
-        "virtual ns per op; tuned speedup over the flat leader exchange",
+        "Appendix A — hierarchical leaders (all-reduce, best static shape vs flat)",
+        "virtual ns per op; speedup over the flat leader exchange",
     );
     println!("{}", row("ranks / payload", &["8 B".into(), "1 MB".into()]));
     for ranks in [512usize, 4_096, 65_536] {
@@ -84,8 +74,6 @@ fn hier_table(fig: &mut Figure) {
         let cols: Vec<String> = [8u32, 1 << 20]
             .into_iter()
             .map(|bytes| {
-                let nodes = ranks.div_ceil(CORES_PER_NODE);
-                let chosen = tuner::choose_algo(nodes, bytes as usize);
                 let run = |algo: NetCollAlgo| {
                     collective_ns_per_op_with(
                         CostModel {
@@ -101,12 +89,16 @@ fn hier_table(fig: &mut Figure) {
                     )
                 };
                 let flat = run(NetCollAlgo::Flat);
-                let hier = run(net_algo(chosen));
+                let (shape, hier) = HIER_CANDIDATES
+                    .into_iter()
+                    .map(|a| (a, run(a)))
+                    .min_by(|x, y| x.1.total_cmp(&y.1))
+                    .expect("HIER_CANDIDATES is non-empty");
                 if ranks >= 4_096 && bytes == 8 {
                     assert!(
                         hier < flat,
                         "crossover gate: hierarchical ({hier:.1} ns) must beat flat \
-                         ({flat:.1} ns) at {ranks} ranks / {bytes} B ({chosen:?})"
+                         ({flat:.1} ns) at {ranks} ranks / {bytes} B ({shape:?})"
                     );
                     fig.ratio(&format!("hier_vs_flat_allreduce8B_{ranks}"), flat / hier);
                 }

@@ -25,8 +25,10 @@ pub enum Placement {
     CrossNode,
 }
 
-/// Inter-node algorithm modeled for `CollStack::Pure` collectives (the
-/// DES twin of `pure-core`'s `InternodeAlgo`).
+/// Inter-node algorithm modeled for `CollStack::Pure` collectives. The
+/// runtime's leaders run only [`NetCollAlgo::Flat`]; the tree and ring
+/// shapes exist here so the figure harnesses can weigh them at paper
+/// scale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NetCollAlgo {
     /// Recursive doubling / binomial over node leaders: `log2(n)` rounds,
@@ -42,9 +44,20 @@ pub enum NetCollAlgo {
     Ring,
 }
 
+/// The static non-flat shapes the figure harnesses weigh against
+/// [`NetCollAlgo::Flat`]: k-ary trees of fan-in 2, 4, 8 and 16, and the
+/// ring.
+pub const HIER_CANDIDATES: [NetCollAlgo; 5] = [
+    NetCollAlgo::Kary(2),
+    NetCollAlgo::Kary(4),
+    NetCollAlgo::Kary(8),
+    NetCollAlgo::Kary(16),
+    NetCollAlgo::Ring,
+];
+
 /// Levels of an `nodes`-node BFS-ordered tree with fan-in `fanin`: the
 /// rounds a payload needs from the deepest leaf to the root (0 when
-/// `nodes <= 1`). Mirrors `pure_core::internode::tree_depth`.
+/// `nodes <= 1`).
 pub fn net_tree_depth(nodes: usize, fanin: usize) -> usize {
     debug_assert!(fanin >= 2);
     let mut d = 0;
@@ -330,7 +343,7 @@ impl CostModel {
                 if kind == CollKind::Allreduce {
                     // Reduce-scatter + allgather: 2·(n-1) steps, each
                     // moving a 1/n chunk — bandwidth optimal, latency
-                    // heavy (the tuner only picks it for large payloads).
+                    // heavy (it wins only for large payloads).
                     let chunk = (bytes as f64 / n as f64).ceil();
                     let step = self.net_alpha_ns + chunk * self.net_beta_ps_per_byte / 1000.0;
                     2.0 * (n - 1) as f64 * (step + self.line_l3_ns)
@@ -690,6 +703,75 @@ mod tests {
         let f8 = flat.coll_ns(CollKind::Allreduce, CollStack::Pure, 64, 64, 8);
         let r8 = ring.coll_ns(CollKind::Allreduce, CollStack::Pure, 64, 64, 8);
         assert!(f8 < r8, "8 B, 64 nodes: flat {f8} !< ring {r8}");
+    }
+
+    /// Pure allreduce time under `algo` at `n` nodes of 64 ranks.
+    fn allreduce_under(algo: NetCollAlgo, n: usize, bytes: usize) -> f64 {
+        let m = CostModel {
+            net_coll: algo,
+            ..CostModel::default()
+        };
+        m.coll_ns(CollKind::Allreduce, CollStack::Pure, 64, n, bytes)
+    }
+
+    #[test]
+    fn hier_candidates_are_distinct_non_flat_shapes() {
+        for (i, a) in HIER_CANDIDATES.iter().enumerate() {
+            assert_ne!(*a, NetCollAlgo::Flat);
+            if let NetCollAlgo::Kary(k) = a {
+                assert!(*k >= 2, "fan-in {k} below 2");
+            }
+            assert!(!HIER_CANDIDATES[..i].contains(a), "{a:?} listed twice");
+        }
+    }
+
+    #[test]
+    fn every_hier_candidate_is_intra_node_neutral() {
+        for algo in HIER_CANDIDATES {
+            for bytes in [0usize, 8, 1 << 20] {
+                assert_eq!(
+                    allreduce_under(algo, 1, bytes),
+                    allreduce_under(NetCollAlgo::Flat, 1, bytes),
+                    "{algo:?} moved a one-node {bytes} B all-reduce"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_beats_every_candidate_on_two_nodes_for_small_payloads() {
+        // What the runtime's leaders run is never beaten where every
+        // measured launch sits: one exchange between two leaders.
+        for algo in HIER_CANDIDATES {
+            let f = allreduce_under(NetCollAlgo::Flat, 2, 8);
+            let h = allreduce_under(algo, 2, 8);
+            assert!(f < h, "2 nodes, 8 B: flat {f} !< {algo:?} {h}");
+        }
+    }
+
+    #[test]
+    fn fastest_candidate_is_a_tree_for_small_and_the_ring_for_bulk() {
+        let fastest = |n: usize, bytes: usize| {
+            HIER_CANDIDATES
+                .into_iter()
+                .min_by(|x, y| {
+                    allreduce_under(*x, n, bytes).total_cmp(&allreduce_under(*y, n, bytes))
+                })
+                .expect("HIER_CANDIDATES is non-empty")
+        };
+        for n in [64usize, 256, 1024] {
+            assert!(
+                matches!(fastest(n, 8), NetCollAlgo::Kary(_)),
+                "{n} nodes, 8 B: expected a tree, got {:?}",
+                fastest(n, 8)
+            );
+        }
+        // The ring's 2·(n-1) α steps cap its reach: it is the bulk pick up
+        // to a few hundred nodes, and a tree again at 1024.
+        for n in [64usize, 256] {
+            assert_eq!(fastest(n, 1 << 20), NetCollAlgo::Ring, "{n} nodes, 1 MiB");
+        }
+        assert!(matches!(fastest(1024, 1 << 20), NetCollAlgo::Kary(_)));
     }
 
     #[test]

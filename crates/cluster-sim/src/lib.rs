@@ -46,6 +46,9 @@ pub mod engine;
 pub mod program;
 pub mod workloads;
 
-pub use cost::{net_tree_depth, CollKind, CollStack, CostModel, MsgStack, NetCollAlgo, Placement};
+pub use cost::{
+    net_tree_depth, CollKind, CollStack, CostModel, MsgStack, NetCollAlgo, Placement,
+    HIER_CANDIDATES,
+};
 pub use engine::{render_timeline, SegKind, Sim, SimConfig, SimResult, SimRuntime, TraceSegment};
 pub use program::{FnProgram, GroupId, Op, RankProgram, VecProgram};

@@ -5,7 +5,7 @@
 //! The collective *algorithms* (leader flat-combining for small payloads,
 //! the all-thread Partitioned Reducer for large ones, broadcast, barrier,
 //! reduce) are implemented as methods on [`crate::comm::PureComm`] in
-//! [`ops`]; the cross-node leader phases live in [`crate::internode`].
+//! [`ops`]; the cross-node leader phases live in `crate::internode`.
 //! Gather, all-gather, scatter, scan and all-to-all are the
 //! [`crate::Communicator`] default methods, composed from broadcast.
 

@@ -1,7 +1,7 @@
 //! The collective algorithms (§4.2): leader flat-combining on small data,
 //! the all-thread Partitioned Reducer on large data, broadcast, barrier and
 //! reduce — all composed from the SPTD protocol within nodes and the
-//! [`crate::internode`] leader algorithms across nodes.
+//! `crate::internode` leader algorithms across nodes.
 //!
 //! ## Round protocol
 //!
@@ -141,7 +141,7 @@ impl PureComm {
         if self.is_leader() {
             self.wait_all_arrivals(r);
             if self.multi_node() {
-                self.leader_group_coll(0).barrier();
+                self.leader_group().barrier();
             }
             self.area.publish_leader(r);
         } else {
@@ -342,7 +342,7 @@ impl PureComm {
         if !self.multi_node() {
             return;
         }
-        let g = self.leader_group_coll(std::mem::size_of_val(acc));
+        let g = self.leader_group();
         match reduce_root_node {
             None => g.allreduce(acc, op),
             Some(root_node) => g.reduce(root_node, acc, op),
@@ -383,7 +383,7 @@ impl PureComm {
                 // SAFETY: bcast_seq >= r observed.
                 data.copy_from_slice(unsafe { self.area.bcast_buf.as_slice::<T>(data.len()) });
             }
-            self.leader_group_coll(bytes).bcast(root_node, data);
+            self.leader_group().bcast(root_node, data);
             if !on_root_node {
                 // Writer on a non-root node.
                 self.wait_all_arrivals(r);

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use crate::collectives::CollArea;
 use crate::error::{die_invariant, PureError, PureResult};
-use crate::internode::{InternodeAlgo, LeaderGroup, LeaderInfo};
-use crate::runtime::{CollectiveAlgo, RankLocal, Shared, Tag, WaitOp, INTERNAL_TAG_BASE};
+use crate::internode::{LeaderGroup, LeaderInfo};
+use crate::runtime::{RankLocal, Shared, Tag, WaitOp, INTERNAL_TAG_BASE};
 use interleave::sync::atomic::{AtomicBool, Ordering};
 
 /// 64-bit mixer (splitmix64 finalizer) for communicator ids and tag bases.
@@ -176,10 +176,6 @@ pub struct PureComm {
     /// globally consistent by collective call ordering — disambiguates
     /// agreement rounds and derives shrunk comm ids).
     pub(crate) agrees: Cell<u64>,
-    /// The inter-node algorithm the previous collective on this comm used
-    /// (auto-tune mode only) — lets the `tuner_adjustments` counter record
-    /// when a payload-size change flips the choice.
-    pub(crate) last_algo: Cell<Option<InternodeAlgo>>,
 }
 
 impl PureComm {
@@ -211,7 +207,6 @@ impl PureComm {
             rounds: Cell::new(0),
             splits: Cell::new(0),
             agrees: Cell::new(0),
-            last_algo: Cell::new(None),
         }
     }
 
@@ -272,9 +267,7 @@ impl PureComm {
         r
     }
 
-    /// The cross-node leader view (only meaningful on leaders), running
-    /// the flat algorithms — the control-path shape (agreement tokens,
-    /// communicator construction) that never consults the tuner.
+    /// The cross-node leader view (only meaningful on leaders).
     pub(crate) fn leader_group(&self) -> LeaderGroup<'_> {
         LeaderGroup {
             nodes: &self.meta.nodes,
@@ -282,38 +275,7 @@ impl PureComm {
             tag_base: self.meta.tag_base,
             local: &self.local,
             wire_eager_max: self.local.shared.cfg.small_msg_max,
-            algo: InternodeAlgo::Flat,
         }
-    }
-
-    /// The inter-node algorithm for a collective moving `bytes` of payload:
-    /// the configured fixed choice, or — in auto-tune mode — the modeled
-    /// argmin over this comm's node count and the payload size. Both inputs
-    /// are identical at every member, so all leaders independently agree.
-    pub(crate) fn coll_algo(&self, bytes: usize) -> InternodeAlgo {
-        match self.local.shared.cfg.collective_algo {
-            CollectiveAlgo::Flat => InternodeAlgo::Flat,
-            CollectiveAlgo::Fixed(a) => a,
-            CollectiveAlgo::Auto => {
-                let a = crate::tuner::choose_algo(self.meta.nodes.len(), bytes);
-                if self.last_algo.get() != Some(a) {
-                    if self.last_algo.get().is_some() {
-                        crate::telemetry::count(crate::telemetry::Counter::TunerAdjustments);
-                    }
-                    self.last_algo.set(Some(a));
-                }
-                a
-            }
-        }
-    }
-
-    /// As [`PureComm::leader_group`], but for the data path of a collective
-    /// carrying `bytes` of payload: the leader phase runs the configured
-    /// (or auto-tuned) hierarchical algorithm.
-    pub(crate) fn leader_group_coll(&self, bytes: usize) -> LeaderGroup<'_> {
-        let mut g = self.leader_group();
-        g.algo = self.coll_algo(bytes);
-        g
     }
 
     /// Split this communicator like `MPI_Comm_split` / `pure_comm_split`:

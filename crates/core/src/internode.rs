@@ -4,24 +4,18 @@
 //! SSW-Loop like any other rank (so a leader blocked in a cross-node
 //! reduction still steals task chunks).
 //!
-//! Algorithms come in two families, selected per communicator by
-//! [`InternodeAlgo`]:
+//! The leader phase runs the shapes an MPI library gives Pure's leaders:
+//! recursive doubling for all-reduce (with the non-power-of-two fold-in
+//! pre/post phases), binomial trees for broadcast and reduce, and the
+//! dissemination algorithm for barrier. They run above the `Transport`
+//! seam — they see only `NodeEndpoint` send/recv, so the Sim and TCP
+//! backends execute them unchanged. Tree and ring shapes at paper scale
+//! are modeled only in `cluster-sim` (`NetCollAlgo`).
 //!
-//! * **Flat** — the textbook MPICH shapes: recursive doubling for
-//!   all-reduce (with the non-power-of-two fold-in pre/post phases),
-//!   binomial trees for broadcast and reduce, and the dissemination
-//!   algorithm for barrier.
-//! * **Hierarchical** — a k-ary combine/distribute tree with tunable
-//!   fan-in ([`InternodeAlgo::Kary`], the MPI+MPI / POSH shape: fewer
-//!   α-latency levels than recursive doubling at scale, NUMA-staged at
-//!   the leader), and a bandwidth-optimal ring
-//!   reduce-scatter + allgather ([`InternodeAlgo::Ring`]) for payloads
-//!   large enough that recursive doubling's full-vector-per-round
-//!   traffic dominates.
-//!
-//! Both families run above the `Transport` seam — they see only
-//! `NodeEndpoint` send/recv, so the Sim and TCP backends execute them
-//! unchanged.
+//! Wire phases, offsets from a communicator's tag base: 0 (fold-in), 1..
+//! (one per recursive-doubling round) and 31 (fold-out) for all-reduce, 32
+//! for broadcast, 33 for reduce, 40.. (one per barrier round) and 200 for
+//! survivor agreement (`comm.rs`).
 
 use netsim::{FrameSlice, WireTag};
 
@@ -29,76 +23,17 @@ use crate::datatype::{as_bytes, as_bytes_mut, PureDatatype, ReduceOp, Reducible}
 use crate::error::{die_invariant, PureError, PureResult};
 use crate::runtime::{RankLocal, WaitOp};
 
-/// Inter-node algorithm family for the leader phase of one communicator.
-///
-/// Chosen statically with `Config::with_collective_fanin` /
-/// `with_collective_ring`, or per-collective by the auto-tuner
-/// (`Config::with_collective_autotune`). Every leader of a
-/// communicator must run the same algorithm for a given collective — the
-/// tuner therefore decides from inputs identical at every rank (group
-/// shape + payload size), never from rank-local state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InternodeAlgo {
-    /// Recursive doubling / binomial / dissemination (the flat MPICH
-    /// shapes over node leaders).
-    #[default]
-    Flat,
-    /// k-ary combine/distribute tree with fan-in `k` (≥ 2), rooted at
-    /// position 0 (rooted ops re-root at the caller's root).
-    Kary(usize),
-    /// Ring reduce-scatter + allgather for all-reduce (bandwidth
-    /// optimal); rooted ops and barrier fall back to a binary tree.
-    Ring,
-}
-
-impl InternodeAlgo {
-    /// Effective fan-in: 0 for flat, `k` for k-ary, 2 for ring fallbacks.
-    pub fn fanin(self) -> usize {
-        match self {
-            InternodeAlgo::Flat => 0,
-            InternodeAlgo::Kary(k) => k,
-            InternodeAlgo::Ring => 2,
-        }
-    }
-}
-
-/// Levels of a `p`-node BFS-ordered k-ary tree: rounds a payload needs
-/// from the deepest leaf to the root (0 when `p <= 1`).
-pub fn tree_depth(p: usize, k: usize) -> usize {
-    debug_assert!(k >= 2);
-    let mut d = 0;
-    let mut r = p.saturating_sub(1);
-    while r > 0 {
-        r = (r - 1) / k;
-        d += 1;
-    }
-    d
-}
-
-// Wire phases of the hierarchical algorithms — a band disjoint from the
-// flat reductions (0..=31), flat bcast/reduce (32/33), dissemination
-// barrier (40..) and survivor agreement (200). Each (src-node, dst-node, phase) stream is FIFO, so one phase
-// per traversal direction suffices even for multi-step rings.
-const PH_KARY_UP: u32 = 52; // k-ary all-reduce combine toward pos 0
-const PH_KARY_DOWN: u32 = 53; // k-ary all-reduce result distribution
-const PH_RING_RS: u32 = 54; // ring reduce-scatter steps
-const PH_RING_AG: u32 = 55; // ring allgather steps
-const PH_KARY_BCAST: u32 = 56; // rooted k-ary broadcast
-const PH_KARY_REDUCE: u32 = 57; // rooted k-ary reduce
-const PH_TREE_GATHER: u32 = 58; // tree barrier: arrival wave
-const PH_TREE_RELEASE: u32 = 59; // tree barrier: release wave
-
 /// A participating node of a communicator: its netsim node id and the
 /// within-node thread index of its leader (needed for wire-tag routing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaderInfo {
+pub(crate) struct LeaderInfo {
     /// Simulated node id.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Leader's local thread index on that node.
-    pub leader_local: usize,
+    pub(crate) leader_local: usize,
     /// Leader's world rank (error context: timeouts and truncations name
     /// the peer *rank*, matching the intra-node error shape).
-    pub leader_world: usize,
+    pub(crate) leader_world: usize,
 }
 
 /// Magic prefix of a wire rendezvous header, used by the point-to-point
@@ -147,16 +82,6 @@ impl std::ops::Deref for WirePayload {
     }
 }
 
-impl WirePayload {
-    /// Take ownership of the bytes (copies the borrowed eager case).
-    fn into_vec(self) -> Vec<u8> {
-        match self {
-            WirePayload::Eager(f) => f.to_vec(),
-            WirePayload::Rdv(v) => v,
-        }
-    }
-}
-
 /// Build the rendezvous header announcing `total` body bytes.
 pub(crate) fn rdv_header(total: usize) -> [u8; RDV_HEADER_BYTES] {
     let mut h = [0u8; RDV_HEADER_BYTES];
@@ -177,22 +102,20 @@ pub(crate) fn rdv_parse(frame: &[u8]) -> Option<usize> {
 }
 
 /// A leader's view of the cross-node phase of one communicator.
-pub struct LeaderGroup<'a> {
+pub(crate) struct LeaderGroup<'a> {
     /// All member nodes, in a globally agreed order.
-    pub nodes: &'a [LeaderInfo],
+    pub(crate) nodes: &'a [LeaderInfo],
     /// Index of this node in `nodes`.
-    pub my_pos: usize,
+    pub(crate) my_pos: usize,
     /// Communicator-unique tag namespace base.
-    pub tag_base: u32,
+    pub(crate) tag_base: u32,
     /// The leader rank driving this view: its endpoint carries the frames,
     /// its SSW wait blocks for them, and fatal wire errors go through its
     /// abort protocol so every other rank unwinds too.
     pub(crate) local: &'a RankLocal,
     /// Largest payload sent as a single eager frame; larger ones go through
     /// the header-then-chunks wire rendezvous (see `RDV_MAGIC`).
-    pub wire_eager_max: usize,
-    /// Inter-node algorithm family for this group's collectives.
-    pub algo: InternodeAlgo,
+    pub(crate) wire_eager_max: usize,
 }
 
 impl LeaderGroup<'_> {
@@ -306,17 +229,8 @@ impl LeaderGroup<'_> {
 
     /// Raw byte send to another leader on dedicated `phase` (variable-size
     /// payloads such as survivor-agreement tokens).
-    pub fn send_bytes(&self, dst_pos: usize, phase: u32, data: &[u8]) {
+    pub(crate) fn send_bytes(&self, dst_pos: usize, phase: u32, data: &[u8]) {
         self.send_t(dst_pos, phase, data);
-    }
-
-    /// Raw byte receive from another leader (SSW-waits).
-    pub fn recv_bytes(&self, src_pos: usize, phase: u32) -> Vec<u8> {
-        let src = self.nodes[src_pos];
-        let me = self.nodes[self.my_pos];
-        let tag = WireTag::collective(src.leader_local, me.leader_local, self.tag_base + phase);
-        self.recv_wire(src, tag, WaitOp::LeaderBlockExchange)
-            .into_vec()
     }
 
     /// Fallible single-eager-frame receive for the survivor-agreement
@@ -337,44 +251,16 @@ impl LeaderGroup<'_> {
         }
     }
 
-    /// Record one hierarchical traversal in the rank's telemetry: the
-    /// number of tree/ring rounds it took and the fan-in that drove it.
-    fn note_hier(&self, rounds: usize) {
-        crate::telemetry::count_by(crate::telemetry::Counter::CollTreeRounds, rounds as u64);
-        crate::telemetry::count_by(
-            crate::telemetry::Counter::CollFaninChosen,
-            self.algo.fanin() as u64,
-        );
-    }
-
-    /// All-reduce `data` across the member nodes. Every leader ends with
-    /// the full reduction in `data`, bit-identical on all nodes (the
-    /// hierarchical variants reduce at one place and distribute the
-    /// result verbatim; recursive doubling folds in a globally agreed
-    /// order).
-    pub fn allreduce<T: Reducible>(&self, data: &mut [T], op: ReduceOp) {
+    /// All-reduce `data` across the member nodes: recursive doubling with
+    /// the non-power-of-two fold-in pre/post phases (the flat MPICH shape).
+    /// Every leader ends with the full reduction in `data`, bit-identical
+    /// on all nodes: each exchange combines the same two operands on both
+    /// sides, and the folded-in nodes receive the result verbatim.
+    pub(crate) fn allreduce<T: Reducible>(&self, data: &mut [T], op: ReduceOp) {
         let p = self.nodes.len();
         if p <= 1 {
             return;
         }
-        match self.algo {
-            InternodeAlgo::Flat => self.allreduce_rd(data, op),
-            InternodeAlgo::Kary(k) => {
-                self.kary_reduce(0, data, op, k, PH_KARY_UP);
-                self.kary_bcast(0, data, k, PH_KARY_DOWN);
-                self.note_hier(2 * tree_depth(p, k));
-            }
-            InternodeAlgo::Ring => {
-                self.ring_allreduce(data, op);
-                self.note_hier(2 * (p - 1));
-            }
-        }
-    }
-
-    /// Recursive-doubling all-reduce with the non-power-of-two fold-in
-    /// pre/post phases (the flat MPICH shape).
-    fn allreduce_rd<T: Reducible>(&self, data: &mut [T], op: ReduceOp) {
-        let p = self.nodes.len();
         let mut tmp = vec![T::identity(op); data.len()];
         let pof2 = prev_power_of_two(p);
         let rem = p - pof2;
@@ -422,25 +308,9 @@ impl LeaderGroup<'_> {
         }
     }
 
-    /// Broadcast `data` from the node at position `root_pos` (binomial
-    /// tree when flat, k-ary tree when hierarchical).
-    pub fn bcast<T: PureDatatype>(&self, root_pos: usize, data: &mut [T]) {
-        let p = self.nodes.len();
-        match self.algo {
-            InternodeAlgo::Flat => self.bcast_phase(root_pos, data, 32),
-            InternodeAlgo::Kary(k) => {
-                self.kary_bcast(root_pos, data, k, PH_KARY_BCAST);
-                self.note_hier(tree_depth(p, k));
-            }
-            InternodeAlgo::Ring => {
-                self.kary_bcast(root_pos, data, 2, PH_KARY_BCAST);
-                self.note_hier(tree_depth(p, 2));
-            }
-        }
-    }
-
-    /// Binomial-tree broadcast on wire phase `phase`.
-    fn bcast_phase<T: PureDatatype>(&self, root_pos: usize, data: &mut [T], phase: u32) {
+    /// Broadcast `data` from the node at position `root_pos` over a
+    /// binomial tree.
+    pub(crate) fn bcast<T: PureDatatype>(&self, root_pos: usize, data: &mut [T]) {
         let p = self.nodes.len();
         if p <= 1 {
             return;
@@ -450,7 +320,7 @@ impl LeaderGroup<'_> {
         while mask < p {
             if rel & mask != 0 {
                 let src = (self.my_pos + p - mask) % p;
-                self.recv_t(src, phase, data);
+                self.recv_t(src, 32, data);
                 break;
             }
             mask <<= 1;
@@ -459,36 +329,20 @@ impl LeaderGroup<'_> {
         while mask > 0 {
             if rel + mask < p {
                 let dst = (self.my_pos + mask) % p;
-                self.send_t(dst, phase, data);
+                self.send_t(dst, 32, data);
             }
             mask >>= 1;
         }
     }
 
-    /// Reduce `data` to the node at position `root_pos` (binomial tree
-    /// when flat, k-ary tree when hierarchical; operators are
-    /// commutative). Non-root leaders' `data` is clobbered.
-    pub fn reduce<T: Reducible>(&self, root_pos: usize, data: &mut [T], op: ReduceOp) {
+    /// Reduce `data` to the node at position `root_pos` over a binomial
+    /// tree (operators are commutative). Non-root leaders' `data` is
+    /// clobbered.
+    pub(crate) fn reduce<T: Reducible>(&self, root_pos: usize, data: &mut [T], op: ReduceOp) {
         let p = self.nodes.len();
         if p <= 1 {
             return;
         }
-        match self.algo {
-            InternodeAlgo::Flat => self.reduce_binomial(root_pos, data, op),
-            InternodeAlgo::Kary(k) => {
-                self.kary_reduce(root_pos, data, op, k, PH_KARY_REDUCE);
-                self.note_hier(tree_depth(p, k));
-            }
-            InternodeAlgo::Ring => {
-                self.kary_reduce(root_pos, data, op, 2, PH_KARY_REDUCE);
-                self.note_hier(tree_depth(p, 2));
-            }
-        }
-    }
-
-    /// Binomial-tree reduce toward `root_pos` (the flat MPICH shape).
-    fn reduce_binomial<T: Reducible>(&self, root_pos: usize, data: &mut [T], op: ReduceOp) {
-        let p = self.nodes.len();
         let rel = (self.my_pos + p - root_pos) % p;
         let mut tmp = vec![T::identity(op); data.len()];
         let mut mask = 1usize;
@@ -510,158 +364,19 @@ impl LeaderGroup<'_> {
         }
     }
 
-    /// Barrier across the member nodes (dissemination when flat,
-    /// gather-up/release-down tree when hierarchical).
-    pub fn barrier(&self) {
+    /// Barrier across the member nodes (dissemination).
+    pub(crate) fn barrier(&self) {
         let p = self.nodes.len();
-        if p <= 1 {
-            return;
-        }
-        match self.algo {
-            InternodeAlgo::Flat => {
-                let mut k = 1usize;
-                let mut phase = 40u32;
-                while k < p {
-                    let to = (self.my_pos + k) % p;
-                    let from = (self.my_pos + p - k) % p;
-                    self.send_t::<u8>(to, phase, &[1]);
-                    let mut token = [0u8; 1];
-                    self.recv_t(from, phase, &mut token);
-                    k <<= 1;
-                    phase += 1;
-                }
-            }
-            InternodeAlgo::Kary(k) => {
-                self.tree_barrier(k);
-                self.note_hier(2 * tree_depth(p, k));
-            }
-            InternodeAlgo::Ring => {
-                self.tree_barrier(2);
-                self.note_hier(2 * tree_depth(p, 2));
-            }
-        }
-    }
-
-    // --- Hierarchical algorithm bodies -----------------------------------
-
-    /// k-ary-tree reduce toward `root_pos`: children (BFS order relative
-    /// to the root) are folded in ascending-position order — the order is
-    /// globally agreed, so the root's result is deterministic. Non-root
-    /// leaders' `data` holds their subtree's partial sum afterwards.
-    fn kary_reduce<T: Reducible>(
-        &self,
-        root_pos: usize,
-        data: &mut [T],
-        op: ReduceOp,
-        k: usize,
-        phase: u32,
-    ) {
-        let p = self.nodes.len();
-        if p <= 1 {
-            return;
-        }
-        debug_assert!(k >= 2, "k-ary fan-in must be at least 2");
-        let rel = (self.my_pos + p - root_pos) % p;
-        let abs = |r: usize| (r + root_pos) % p;
-        let mut tmp = vec![T::identity(op); data.len()];
-        for c in 0..k {
-            let child_rel = k * rel + 1 + c;
-            if child_rel >= p {
-                break;
-            }
-            self.recv_t(abs(child_rel), phase, &mut tmp);
-            T::reduce_assign(op, data, &tmp);
-        }
-        if rel > 0 {
-            self.send_t(abs((rel - 1) / k), phase, data);
-        }
-    }
-
-    /// k-ary-tree broadcast from `root_pos`: receive from the parent,
-    /// forward to children in ascending-position order.
-    fn kary_bcast<T: PureDatatype>(&self, root_pos: usize, data: &mut [T], k: usize, phase: u32) {
-        let p = self.nodes.len();
-        if p <= 1 {
-            return;
-        }
-        debug_assert!(k >= 2, "k-ary fan-in must be at least 2");
-        let rel = (self.my_pos + p - root_pos) % p;
-        let abs = |r: usize| (r + root_pos) % p;
-        if rel > 0 {
-            self.recv_t(abs((rel - 1) / k), phase, data);
-        }
-        for c in 0..k {
-            let child_rel = k * rel + 1 + c;
-            if child_rel >= p {
-                break;
-            }
-            self.send_t(abs(child_rel), phase, data);
-        }
-    }
-
-    /// Ring all-reduce: reduce-scatter (each node ends owning one fully
-    /// reduced contiguous chunk) then allgather (the reduced chunks
-    /// circulate verbatim). Bandwidth optimal — each node moves
-    /// `2·(p-1)/p` of the vector instead of recursive doubling's
-    /// `log2(p)` full copies — at the cost of `2·(p-1)` α latencies, so
-    /// the tuner only picks it for large payloads. Chunks are balanced
-    /// element ranges; short vectors degrade gracefully to (correct)
-    /// empty-chunk exchanges.
-    fn ring_allreduce<T: Reducible>(&self, data: &mut [T], op: ReduceOp) {
-        let p = self.nodes.len();
-        if p <= 1 {
-            return;
-        }
-        let len = data.len();
-        let right = (self.my_pos + 1) % p;
-        let left = (self.my_pos + p - 1) % p;
-        let bounds = |c: usize| (c * len / p, (c + 1) * len / p);
-        let max_chunk = len / p + usize::from(len % p != 0);
-        let mut tmp = vec![T::identity(op); max_chunk];
-        // Reduce-scatter: step s ships chunk (me - s) and folds chunk
-        // (me - s - 1); after p-1 steps this node owns the full
-        // reduction of chunk (me + 1) mod p.
-        for s in 0..p - 1 {
-            let (sa, sb) = bounds((self.my_pos + p - s) % p);
-            self.send_t(right, PH_RING_RS, &data[sa..sb]);
-            let (ra, rb) = bounds((self.my_pos + 2 * p - s - 1) % p);
-            self.recv_t(left, PH_RING_RS, &mut tmp[..rb - ra]);
-            T::reduce_assign(op, &mut data[ra..rb], &tmp[..rb - ra]);
-        }
-        // Allgather: circulate the finished chunks, received verbatim so
-        // every node ends with bit-identical contents.
-        for s in 0..p - 1 {
-            let (sa, sb) = bounds((self.my_pos + 1 + p - s) % p);
-            self.send_t(right, PH_RING_AG, &data[sa..sb]);
-            let (ra, rb) = bounds((self.my_pos + p - s) % p);
-            self.recv_t(left, PH_RING_AG, &mut data[ra..rb]);
-        }
-    }
-
-    /// Tree barrier: an arrival wave gathers tokens up a k-ary tree to
-    /// position 0, a release wave broadcasts the go-token back down.
-    fn tree_barrier(&self, k: usize) {
-        let p = self.nodes.len();
-        debug_assert!(k >= 2, "k-ary fan-in must be at least 2");
-        let rel = self.my_pos;
-        let mut token = [0u8; 1];
-        for c in 0..k {
-            let child = k * rel + 1 + c;
-            if child >= p {
-                break;
-            }
-            self.recv_t(child, PH_TREE_GATHER, &mut token);
-        }
-        if rel > 0 {
-            self.send_t::<u8>((rel - 1) / k, PH_TREE_GATHER, &[1]);
-            self.recv_t((rel - 1) / k, PH_TREE_RELEASE, &mut token);
-        }
-        for c in 0..k {
-            let child = k * rel + 1 + c;
-            if child >= p {
-                break;
-            }
-            self.send_t::<u8>(child, PH_TREE_RELEASE, &[1]);
+        let mut k = 1usize;
+        let mut phase = 40u32;
+        while k < p {
+            let to = (self.my_pos + k) % p;
+            let from = (self.my_pos + p - k) % p;
+            self.send_t::<u8>(to, phase, &[1]);
+            let mut token = [0u8; 1];
+            self.recv_t(from, phase, &mut token);
+            k <<= 1;
+            phase += 1;
         }
     }
 }
@@ -688,31 +403,19 @@ mod tests {
 
     /// Drive an n-node leader collective: a launch of one rank per node,
     /// each running `f` on the leader view of its world communicator,
-    /// forcing the wire rendezvous for payloads above `eager_max` and
-    /// running the `algo` inter-node family.
-    fn run_leaders_cfg<R: Send>(
+    /// forcing the wire rendezvous for payloads above `eager_max`.
+    fn run_leaders_with<R: Send>(
         n: usize,
         eager_max: usize,
-        algo: InternodeAlgo,
         f: impl Fn(LeaderGroup<'_>) -> R + Sync,
     ) -> Vec<R> {
         let cfg = Config::new(n).with_ranks_per_node(1);
         let (_, results) = launch_map(cfg, |ctx| {
             let mut g = ctx.world().leader_group();
             g.wire_eager_max = eager_max;
-            g.algo = algo;
             f(g)
         });
         results
-    }
-
-    /// As [`run_leaders_cfg`] with the flat algorithms.
-    fn run_leaders_with<R: Send>(
-        n: usize,
-        eager_max: usize,
-        f: impl Fn(LeaderGroup<'_>) -> R + Sync,
-    ) -> Vec<R> {
-        run_leaders_cfg(n, eager_max, InternodeAlgo::Flat, f)
     }
 
     /// As [`run_leaders_with`] with every payload eager (the classic path).
@@ -801,12 +504,13 @@ mod tests {
         let adversarial = rdv_header(usize::MAX >> 1).to_vec();
         let results = run_leaders(2, move |g| {
             let adv = rdv_header(usize::MAX >> 1);
+            let mut got = [0u8; 16];
             if g.my_pos == 0 {
                 g.send_bytes(1, 0, &adv);
-                Vec::new()
             } else {
-                g.recv_bytes(0, 0)
+                g.recv_t(0, 0, &mut got);
             }
+            got.to_vec()
         });
         assert_eq!(results[1], adversarial);
     }
@@ -846,132 +550,46 @@ mod tests {
     }
 
     #[test]
-    fn tree_depth_shapes() {
-        assert_eq!(tree_depth(1, 2), 0);
-        assert_eq!(tree_depth(2, 2), 1);
-        assert_eq!(tree_depth(3, 2), 1);
-        assert_eq!(tree_depth(4, 2), 2);
-        assert_eq!(tree_depth(7, 2), 2);
-        assert_eq!(tree_depth(8, 2), 3);
-        assert_eq!(tree_depth(9, 8), 1);
-        assert_eq!(tree_depth(10, 8), 2);
-        assert_eq!(tree_depth(64, 4), 3);
-        assert_eq!(tree_depth(1024, 8), 4);
-    }
-
-    #[test]
-    fn kary_allreduce_matches_flat_for_all_shapes() {
-        for n in [1usize, 2, 3, 4, 5, 7, 9] {
-            for k in [2usize, 3, 8] {
-                let results = run_leaders_cfg(n, usize::MAX, InternodeAlgo::Kary(k), move |g| {
-                    let mut data = vec![(g.my_pos + 1) as u64, g.my_pos as u64 * 10];
-                    g.allreduce(&mut data, ReduceOp::Sum);
-                    data
-                });
-                let exp = vec![
-                    (1..=n as u64).sum::<u64>(),
-                    (0..n as u64).map(|x| x * 10).sum(),
-                ];
-                for r in results {
-                    assert_eq!(r, exp, "kary allreduce wrong for n={n} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ring_allreduce_handles_uneven_and_short_vectors() {
-        // Lengths that do not divide by the node count, including shorter
-        // than it (empty-chunk exchanges must still line up).
-        for n in [2usize, 3, 5] {
-            for len in [1usize, 2, 7, 16] {
-                let results = run_leaders_cfg(n, usize::MAX, InternodeAlgo::Ring, move |g| {
-                    let mut data: Vec<i64> =
-                        (0..len).map(|i| (g.my_pos * 100 + i) as i64).collect();
-                    g.allreduce(&mut data, ReduceOp::Sum);
-                    data
-                });
-                let exp: Vec<i64> = (0..len)
-                    .map(|i| (0..n).map(|p| (p * 100 + i) as i64).sum())
+    fn large_allreduce_and_reduce_stream_rdv_chunks() {
+        // 4000-byte payloads over a 64-byte eager ceiling: every recursive-
+        // doubling exchange (fold-in and fold-out included) and every
+        // binomial reduce edge rides the wire rendezvous.
+        for n in [3usize, 5] {
+            let results = run_leaders_with(n, 64, move |g| {
+                let mut all: Vec<u32> = (0..1000).map(|i| i + g.my_pos as u32).collect();
+                g.allreduce(&mut all, ReduceOp::Sum);
+                let roots: Vec<Vec<u32>> = (0..n)
+                    .map(|root| {
+                        let mut part: Vec<u32> = (0..1000)
+                            .map(|i| i * (root as u32 + 1) + g.my_pos as u32)
+                            .collect();
+                        g.reduce(root, &mut part, ReduceOp::Sum);
+                        part
+                    })
                     .collect();
-                for r in results {
-                    assert_eq!(r, exp, "ring allreduce wrong for n={n} len={len}");
-                }
+                (all, roots)
+            });
+            let ranks_sum: u32 = (0..n as u32).sum();
+            let exp: Vec<u32> = (0..1000u32).map(|i| n as u32 * i + ranks_sum).collect();
+            for (pos, (all, roots)) in results.iter().enumerate() {
+                assert_eq!(all, &exp, "allreduce wrong at pos {pos} of {n}");
+                let exp_root: Vec<u32> = (0..1000u32)
+                    .map(|i| n as u32 * i * (pos as u32 + 1) + ranks_sum)
+                    .collect();
+                assert_eq!(roots[pos], exp_root, "reduce wrong at root {pos} of {n}");
             }
         }
     }
 
+    /// Recursive doubling with the non-power-of-two fold-in must leave
+    /// bit-identical float results on every node (the property behind the
+    /// differential oracle's multi-node legs): both sides of an exchange
+    /// combine the same two operands, and folded-in nodes receive the
+    /// result verbatim.
     #[test]
-    fn ring_allreduce_streams_rdv_chunks() {
-        // Large enough that ring chunks exceed the eager ceiling: the ring
-        // steps ride the wire rendezvous.
-        let n = 4;
-        let results = run_leaders_cfg(n, 64, InternodeAlgo::Ring, move |g| {
-            let mut data: Vec<u32> = (0..1000).map(|i| i + g.my_pos as u32).collect();
-            g.allreduce(&mut data, ReduceOp::Sum);
-            data
-        });
-        let exp: Vec<u32> = (0..1000u32)
-            .map(|i| (0..n as u32).map(|p| i + p).sum())
-            .collect();
-        for r in results {
-            assert_eq!(r, exp);
-        }
-    }
-
-    #[test]
-    fn kary_bcast_and_reduce_from_every_root() {
-        for algo in [InternodeAlgo::Kary(3), InternodeAlgo::Ring] {
-            for root in 0..5usize {
-                let results = run_leaders_cfg(5, usize::MAX, algo, move |g| {
-                    let mut data = if g.my_pos == root {
-                        vec![41u32, 42]
-                    } else {
-                        vec![0u32, 0]
-                    };
-                    g.bcast(root, &mut data);
-                    let mut sum = vec![1u64 << g.my_pos];
-                    g.reduce(root, &mut sum, ReduceOp::Sum);
-                    (data, sum[0])
-                });
-                for (pos, (data, _)) in results.iter().enumerate() {
-                    assert_eq!(data, &vec![41, 42], "bcast wrong at pos {pos} root {root}");
-                }
-                assert_eq!(results[root].1, 0b11111, "reduce sum wrong for root {root}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_barrier_completes_for_odd_counts_and_fanins() {
-        for n in [2usize, 3, 5, 9] {
-            for algo in [
-                InternodeAlgo::Kary(2),
-                InternodeAlgo::Kary(4),
-                InternodeAlgo::Ring,
-            ] {
-                let results = run_leaders_cfg(n, usize::MAX, algo, |g| {
-                    g.barrier();
-                    g.barrier();
-                    true
-                });
-                assert!(results.into_iter().all(|x| x));
-            }
-        }
-    }
-
-    /// The k-ary and ring all-reduce must leave bit-identical float
-    /// results on every node (the acceptance criterion behind the
-    /// differential oracle's hierarchical legs): reduction happens at a
-    /// single owner per element, and the result is distributed verbatim.
-    #[test]
-    fn hierarchical_float_allreduce_is_bit_identical_across_nodes() {
-        for algo in [
-            InternodeAlgo::Kary(2),
-            InternodeAlgo::Kary(3),
-            InternodeAlgo::Ring,
-        ] {
-            let results = run_leaders_cfg(7, usize::MAX, algo, move |g| {
+    fn float_allreduce_is_bit_identical_across_nodes() {
+        for n in [3usize, 5, 6, 7] {
+            let results = run_leaders(n, move |g| {
                 let mut data: Vec<f64> = (0..33)
                     .map(|i| 0.1 * (i as f64) + g.my_pos as f64 * 1e-7)
                     .collect();
@@ -979,7 +597,164 @@ mod tests {
                 data.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
             });
             for r in &results[1..] {
-                assert_eq!(r, &results[0], "divergent float bits under {algo:?}");
+                assert_eq!(r, &results[0], "divergent float bits at {n} nodes");
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_handles_empty_and_short_vectors() {
+        // Vectors shorter than the node count, and empty ones, still go
+        // through every recursive-doubling and fold-in exchange.
+        for n in [3usize, 5, 6, 7] {
+            for len in [0usize, 1, 2] {
+                let results = run_leaders(n, move |g| {
+                    let mut data: Vec<u64> = (0..len).map(|i| (g.my_pos * 10 + i) as u64).collect();
+                    g.allreduce(&mut data, ReduceOp::Sum);
+                    data
+                });
+                let exp: Vec<u64> = (0..len)
+                    .map(|i| (0..n).map(|p| (p * 10 + i) as u64).sum())
+                    .collect();
+                for r in results {
+                    assert_eq!(r, exp, "allreduce wrong for n={n} len={len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bcast_and_reduce_from_every_root_on_non_pow2_counts() {
+        // The binomial trees are rooted by rotating positions; every root
+        // of every non-power-of-two count must see the whole group.
+        for n in [3usize, 5, 6, 7] {
+            for root in 0..n {
+                let results = run_leaders(n, move |g| {
+                    let mut data = if g.my_pos == root {
+                        vec![root as u32 + 1, 42]
+                    } else {
+                        vec![0, 0]
+                    };
+                    g.bcast(root, &mut data);
+                    let mut bits = vec![1u64 << g.my_pos];
+                    g.reduce(root, &mut bits, ReduceOp::Sum);
+                    (data, bits[0])
+                });
+                for (data, _) in &results {
+                    assert_eq!(data, &vec![root as u32 + 1, 42], "bcast n={n} root={root}");
+                }
+                assert_eq!(results[root].1, (1u64 << n) - 1, "reduce n={n} root={root}");
+            }
+        }
+    }
+
+    #[test]
+    fn barrier_holds_every_leader_until_all_arrive() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for n in [2usize, 3, 5, 7] {
+            let arrived = AtomicUsize::new(0);
+            let results = run_leaders(n, |g| {
+                (0..3)
+                    .map(|round| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        g.barrier();
+                        arrived.load(Ordering::SeqCst) >= (round + 1) * n
+                    })
+                    .collect::<Vec<bool>>()
+            });
+            for (pos, r) in results.iter().enumerate() {
+                assert!(
+                    r.iter().all(|&ok| ok),
+                    "leader {pos} of {n} left a barrier early"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_prod_and_bit_ops_match_a_sequential_fold() {
+        for n in [3usize, 6] {
+            let results = run_leaders(n, move |g| {
+                let mut prod = vec![(g.my_pos + 1) as i64];
+                g.allreduce(&mut prod, ReduceOp::Prod);
+                let mut and = vec![!(1u64 << g.my_pos)];
+                g.allreduce(&mut and, ReduceOp::BitAnd);
+                let mut or = vec![1u64 << (2 * g.my_pos)];
+                g.allreduce(&mut or, ReduceOp::BitOr);
+                (prod[0], and[0], or[0])
+            });
+            let prod: i64 = (1..=n as i64).product();
+            let and = (0..n).fold(u64::MAX, |acc, p| acc & !(1u64 << p));
+            let or = (0..n).fold(0u64, |acc, p| acc | 1u64 << (2 * p));
+            for r in results {
+                assert_eq!(r, (prod, and, or), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_collectives_keep_their_payloads_apart() {
+        // No barrier between rounds: a fast leader runs ahead into the next
+        // collective while a slow one still drains the last, with every
+        // other round's payloads large enough to ride the wire rendezvous.
+        let n = 5;
+        let results = run_leaders_with(n, 64, move |g| {
+            let mut seen = Vec::new();
+            for round in 0..8usize {
+                let len = if round % 2 == 0 { 3 } else { 100 };
+                let mut sum: Vec<u64> = vec![(round * 100 + g.my_pos) as u64; len];
+                g.allreduce(&mut sum, ReduceOp::Sum);
+                let root = round % n;
+                let mut data: Vec<u64> = if g.my_pos == root {
+                    (0..len as u64).map(|i| i + round as u64).collect()
+                } else {
+                    vec![0; len]
+                };
+                g.bcast(root, &mut data);
+                let mut red = vec![round as u64 + g.my_pos as u64; len];
+                g.reduce(root, &mut red, ReduceOp::Max);
+                seen.push((sum, data, (g.my_pos == root).then_some(red)));
+            }
+            seen
+        });
+        for (pos, seen) in results.iter().enumerate() {
+            for (round, (sum, data, red)) in seen.iter().enumerate() {
+                let len = if round % 2 == 0 { 3 } else { 100 };
+                let exp_sum = (0..n).map(|p| (round * 100 + p) as u64).sum::<u64>();
+                assert_eq!(
+                    sum,
+                    &vec![exp_sum; len],
+                    "allreduce pos={pos} round={round}"
+                );
+                let exp_data: Vec<u64> = (0..len as u64).map(|i| i + round as u64).collect();
+                assert_eq!(data, &exp_data, "bcast pos={pos} round={round}");
+                if let Some(red) = red {
+                    let exp_red = vec![(round + n - 1) as u64; len];
+                    assert_eq!(red, &exp_red, "reduce pos={pos} round={round}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn large_bcast_from_every_root_streams_rdv_chunks() {
+        // 4000-byte bcasts over a 64-byte eager ceiling from each root: the
+        // rotated binomial tree forwards every chunked payload intact.
+        for n in [3usize, 5] {
+            for root in 0..n {
+                let results = run_leaders_with(n, 64, move |g| {
+                    let mut data: Vec<u32> = if g.my_pos == root {
+                        (0..1000).map(|i| i * 7 + root as u32).collect()
+                    } else {
+                        vec![0; 1000]
+                    };
+                    g.bcast(root, &mut data);
+                    data
+                });
+                let exp: Vec<u32> = (0..1000).map(|i| i * 7 + root as u32).collect();
+                for (pos, r) in results.iter().enumerate() {
+                    assert_eq!(r, &exp, "bcast n={n} root={root} pos={pos}");
+                }
             }
         }
     }

@@ -47,7 +47,7 @@
 //! | §4.0.2 SSW-Loop | [`task::ssw`] |
 //! | §4.1.1 PureBufferQueue | [`channel::pbq`] |
 //! | §4.1.2 rendezvous envelopes | [`channel::envelope`] |
-//! | §4.1.3 inter-node + tag encoding | [`internode`], `netsim` crate |
+//! | §4.1.3 inter-node + tag encoding | `internode`, `netsim` crate |
 //! | §4.2.1 SPTD + flat combining | [`collectives::sptd`], [`collectives::ops`] |
 //! | §4.2.2 Partitioned Reducer | [`collectives::ops`] |
 //! | §4.3 task scheduler | [`task::scheduler`] |
@@ -62,12 +62,11 @@ pub mod collectives;
 pub mod comm;
 pub mod datatype;
 pub mod error;
-pub mod internode;
+mod internode;
 pub mod msg;
 pub mod runtime;
 pub mod task;
 pub mod telemetry;
-pub mod tuner;
 pub mod util;
 pub mod writing_pure_programs;
 
@@ -75,11 +74,10 @@ pub use api::{wait_all, CommRequest, Communicator};
 pub use comm::PureComm;
 pub use datatype::{PureDatatype, ReduceOp, Reducible};
 pub use error::{PureError, PureResult};
-pub use internode::InternodeAlgo;
 pub use msg::Request;
 pub use runtime::{
-    launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
-    RankCtx, RankFaults, RankStats, Tag,
+    launch, launch_map, launch_surviving, Config, LaunchReport, OnPeerDeath, RankCtx, RankFaults,
+    RankStats, Tag,
 };
 pub use task::{ChunkRange, PureTask, SharedSlice};
 pub use telemetry::{Counter, CounterSnapshot, RuntimeStats, TraceEvent};
@@ -90,10 +88,9 @@ pub mod prelude {
     pub use crate::comm::PureComm;
     pub use crate::datatype::{PureDatatype, ReduceOp, Reducible};
     pub use crate::error::{PureError, PureResult};
-    pub use crate::internode::InternodeAlgo;
     pub use crate::runtime::{
-        launch, launch_map, launch_surviving, CollectiveAlgo, Config, LaunchReport, OnPeerDeath,
-        RankCtx, RankFaults, Tag,
+        launch, launch_map, launch_surviving, Config, LaunchReport, OnPeerDeath, RankCtx,
+        RankFaults, Tag,
     };
     pub use crate::task::{ChunkRange, PureTask, SharedSlice};
     pub use crate::telemetry::{Counter, RuntimeStats};

@@ -58,24 +58,6 @@ pub enum OnPeerDeath {
     Revoke,
 }
 
-/// How the cross-node leader phase of collectives traverses the leaders
-/// (selected with [`Config::with_collective_fanin`] and friends).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CollectiveAlgo {
-    /// The flat MPICH-style algorithms (recursive doubling / binomial /
-    /// dissemination) — the pre-hierarchical default.
-    #[default]
-    Flat,
-    /// A fixed inter-node algorithm (k-ary tree or ring) for every
-    /// collective, regardless of payload size.
-    Fixed(crate::internode::InternodeAlgo),
-    /// Auto-tuned: each collective picks the modeled-optimal
-    /// algorithm from its payload size and the communicator's node count
-    /// via [`crate::tuner::choose_algo`] — deterministic and identical at
-    /// every leader, so the wire protocol always agrees.
-    Auto,
-}
-
 /// Runtime configuration — the knobs the paper exposes through its Makefile
 /// (threshold sizes, processes per node, helper threads)
 /// plus this port's additions (simulated network, spin budget).
@@ -132,8 +114,6 @@ pub struct Config {
     /// [`RuntimeStats::chrome_trace`](crate::telemetry::RuntimeStats::chrome_trace)
     /// exports them for `chrome://tracing`/Perfetto.
     pub trace_events: usize,
-    /// Inter-node collective algorithm selection (see [`CollectiveAlgo`]).
-    pub collective_algo: CollectiveAlgo,
 }
 
 /// Injectable intra-node faults, counted in *blocking operations* (sends,
@@ -183,7 +163,6 @@ impl Config {
             finalize_linger: Duration::from_secs(2),
             telemetry: true,
             trace_events: 0,
-            collective_algo: CollectiveAlgo::default(),
         }
     }
 
@@ -252,32 +231,6 @@ impl Config {
     /// Toggle the runtime counter registry (see [`Config::telemetry`]).
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Run cross-node collectives over a k-ary leader tree of fan-in `k`
-    /// (≥ 2): leaders combine up the tree and the result flows back down,
-    /// with NUMA-aware staging at each level instead of the flat
-    /// exchange's per-round cross-NUMA pulls.
-    pub fn with_collective_fanin(mut self, k: usize) -> Self {
-        assert!(k >= 2, "collective fan-in must be at least 2 (got {k})");
-        self.collective_algo = CollectiveAlgo::Fixed(crate::internode::InternodeAlgo::Kary(k));
-        self
-    }
-
-    /// Run cross-node allreduce as a bandwidth-optimal leader ring
-    /// (reduce-scatter + allgather); bcast/reduce/barrier use the
-    /// binary-tree shape.
-    pub fn with_collective_ring(mut self) -> Self {
-        self.collective_algo = CollectiveAlgo::Fixed(crate::internode::InternodeAlgo::Ring);
-        self
-    }
-
-    /// Let the auto-tuner pick the inter-node algorithm per collective
-    /// from its payload size and the communicator's node count (see
-    /// [`CollectiveAlgo::Auto`] and [`crate::tuner`]).
-    pub fn with_collective_autotune(mut self) -> Self {
-        self.collective_algo = CollectiveAlgo::Auto;
         self
     }
 
@@ -370,7 +323,6 @@ wait_ops! {
     BcastPayload => "bcast payload",
     AgreeGate => "agree gate",
     LeaderCollective => "leader collective",
-    LeaderBlockExchange => "leader block exchange",
     SurvivorAgreement => "survivor agreement",
 }
 

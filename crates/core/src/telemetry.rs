@@ -100,12 +100,6 @@ counters! {
     StealAttempt => "steal_attempt",
     /// Steal probes that found, claimed and executed a chunk.
     Steal => "steal",
-    /// Inter-node tree/ring rounds traversed by hierarchical collectives.
-    CollTreeRounds => "coll_tree_rounds",
-    /// Sum of fan-ins chosen for hierarchical collectives (÷ op count = avg).
-    CollFaninChosen => "coll_fanin_chosen",
-    /// Times the auto-tuner changed a knob from its previous choice.
-    TunerAdjustments => "tuner_adjustments",
 }
 
 // ---------------------------------------------------------------------------

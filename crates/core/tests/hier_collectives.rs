@@ -1,21 +1,17 @@
-//! Hierarchical collectives on the real runtime: every inter-node tree
-//! shape (k-ary fan-ins, the ring, the auto-tuner) over multi-node
-//! layouts, verifying collective results and the
-//! hierarchy telemetry. Honors `PURE_BACKEND=tcp` so the CI
-//! collective-sweep matrix replays the suite over real loopback sockets.
+//! Hierarchical collectives on the real runtime: the intra-node phase
+//! (flat combining, Partitioned Reducer) composed with the leaders'
+//! cross-node phase over multi-node layouts, verifying collective results.
+//! Honors `PURE_BACKEND=tcp` so the CI collective-sweep matrix replays the
+//! suite over real loopback sockets.
 
 use pure_core::prelude::*;
 
 const RANKS: usize = 6;
 
-type Configure = fn(Config) -> Config;
-
-fn cfg(rpn: usize, configure: Configure) -> Config {
-    let mut c = configure(
-        Config::new(RANKS)
-            .with_ranks_per_node(rpn)
-            .with_transport(Backend::from_env()),
-    );
+fn cfg(rpn: usize) -> Config {
+    let mut c = Config::new(RANKS)
+        .with_ranks_per_node(rpn)
+        .with_transport(Backend::from_env());
     c.spin_budget = 16;
     c
 }
@@ -66,58 +62,81 @@ fn hier_workload(ctx: &RankCtx) {
     }
 }
 
-/// Every static tree shape × two layouts (6 leaders
-/// deep trees, and 3 nodes of 2). The hierarchy telemetry must show the
-/// tree actually ran: nonzero inter-node rounds and a nonzero fan-in sum.
+/// Two layouts: 6 nodes of 1 (the leaders' recursive doubling runs the
+/// non-power-of-two fold-in, with 16 KiB payloads over the wire
+/// rendezvous) and 3 nodes of 2 (flat combining ahead of the leader phase).
 #[test]
-fn static_tree_shapes_compute_correct_results_on_all_layouts() {
-    let shapes: [(&str, Configure); 3] = [
-        ("kary2", |c| c.with_collective_fanin(2)),
-        ("kary3", |c| c.with_collective_fanin(3)),
-        ("ring", |c| c.with_collective_ring()),
-    ];
+fn leader_phase_computes_correct_results_on_all_layouts() {
     for rpn in [1usize, 2] {
-        for (label, configure) in shapes {
-            let report = launch(cfg(rpn, configure), |ctx| hier_workload(ctx));
-            let rounds = report.stats.total(Counter::CollTreeRounds);
-            let fanin = report.stats.total(Counter::CollFaninChosen);
-            assert!(
-                rounds > 0,
-                "{label} rpn={rpn}: no hierarchical rounds recorded"
-            );
-            assert!(
-                fanin > 0,
-                "{label} rpn={rpn}: no fan-in recorded over {rounds} rounds"
-            );
-        }
+        launch(cfg(rpn), |ctx| hier_workload(ctx));
     }
 }
 
-/// Auto-tune mode: payloads alternating across the k-ary/ring model
-/// crossover must flip the per-collective choice (counted by
-/// `tuner_adjustments`) while every result stays correct — the choice is a
-/// pure function of (node count, payload bytes), so all leaders agree.
+/// Uneven nodes: five ranks at two per node leave the last node with a
+/// single rank, so its leader enters the cross-node phase with no local
+/// combining while the others flat-combine a pair.
 #[test]
-fn autotuner_flips_algorithms_across_the_size_crossover() {
-    let report = launch(cfg(2, |c| c.with_collective_autotune()), |ctx| {
+fn leader_phase_handles_uneven_nodes() {
+    let mut c = Config::new(5)
+        .with_ranks_per_node(2)
+        .with_transport(Backend::from_env());
+    c.spin_budget = 16;
+    launch(c, |ctx| hier_workload(ctx));
+}
+
+/// A split whose halves each span several nodes runs its own leader phase,
+/// in its own tag namespace, concurrently with the other half's.
+#[test]
+fn node_spanning_split_runs_its_own_leader_phase() {
+    launch(cfg(1), |ctx| {
         let w = ctx.world();
         let me = w.rank();
-        let n = w.size();
-        for _ in 0..2 {
-            // 8 B: the model picks a k-ary tree at 3 nodes.
-            let sum = w.allreduce_one((me + 1) as u64, ReduceOp::Sum);
-            assert_eq!(sum, (n * (n + 1) / 2) as u64);
-            // 512 KiB: bandwidth-dominated, the model picks the ring.
-            let big = vec![me as u64 + 1; 1 << 16];
-            let mut out = vec![0u64; 1 << 16];
-            w.allreduce(&big, &mut out, ReduceOp::Max);
-            assert!(out.iter().all(|&v| v == n as u64), "large all-reduce");
+        let sub = w
+            .split((me % 2) as i64, me as i64)
+            .expect("every rank has a color");
+        let n = sub.size();
+        assert_eq!(n, RANKS / 2);
+        let sum = sub.allreduce_one(me as u64, ReduceOp::Sum);
+        let exp: u64 = (0..RANKS)
+            .filter(|r| r % 2 == me % 2)
+            .map(|r| r as u64)
+            .sum();
+        assert_eq!(sum, exp, "split all-reduce");
+        for root in 0..n {
+            let mut data = vec![0u32; 8];
+            if sub.rank() == root {
+                data.iter_mut()
+                    .enumerate()
+                    .for_each(|(j, v)| *v = (me * 8 + j) as u32);
+            }
+            sub.bcast(&mut data, root);
+            let root_world = 2 * root + me % 2;
+            for (j, &v) in data.iter().enumerate() {
+                assert_eq!(v, (root_world * 8 + j) as u32, "split bcast from {root}");
+            }
         }
+        sub.barrier();
+        w.barrier();
     });
-    let flips = report.stats.total(Counter::TunerAdjustments);
-    assert!(
-        flips >= 2,
-        "alternating 8 B / 512 KiB payloads across the crossover should flip \
-         the tuner's choice (tuner_adjustments = {flips})"
-    );
+}
+
+/// Float sums through the public API leave the same bits on every rank,
+/// whether the leader phase folds in six single-rank nodes or combines
+/// three pairs first.
+#[test]
+fn float_allreduce_is_bit_identical_on_every_rank() {
+    for rpn in [1usize, 2] {
+        let (_, bits) = launch_map(cfg(rpn), |ctx| {
+            let w = ctx.world();
+            let input: Vec<f64> = (0..17)
+                .map(|i| 0.1 * i as f64 + w.rank() as f64 * 1e-7)
+                .collect();
+            let mut out = vec![0.0f64; input.len()];
+            w.allreduce(&input, &mut out, ReduceOp::Sum);
+            out.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+        });
+        for b in &bits[1..] {
+            assert_eq!(b, &bits[0], "divergent float bits at {rpn} ranks per node");
+        }
+    }
 }
